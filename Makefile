@@ -45,11 +45,12 @@ test-service:
 
 # Durability contracts under the race detector: job-journal replay and
 # torn-tail recovery, verified-cache quarantine, TTL and LRU eviction,
-# per-job timeouts, transient retry, and the SIGKILL kill-restart
+# per-job timeouts, transient retry, bounded retention of finished
+# jobs and cached results, and the SIGKILL kill-restart
 # campaign (fixed seed 1; override with FAULTINJECT_SEED=N to explore
 # other kill timings).  See docs/SERVICE.md "Durability and recovery".
 test-durability:
-	$(GO) test -race -run 'Journal|CrashRecovery|DrainThenRestart|CacheCorruption|CacheTTL|CacheSizeCap|JobTimeout|TransientRetry|ReadyzDraining|Transient|ServiceKillRestartCampaign' ./internal/service/... ./internal/sweep/... ./internal/faultinject/...
+	$(GO) test -race -run 'Journal|CrashRecovery|DrainThenRestart|CacheCorruption|CacheTTL|CacheSizeCap|Retention|JobTimeout|TransientRetry|ReadyzDraining|Transient|ServiceKillRestartCampaign' ./internal/service/... ./internal/sweep/... ./internal/faultinject/...
 
 # Stack-distance engine gate under the race detector: differential
 # equivalence, inclusion/conservation property tests, partition

@@ -5,9 +5,11 @@ package multipass_test
 // heap, or each simulated reference in a sweep pays for it.
 
 import (
+	"runtime"
 	"testing"
 
 	"subcache/internal/cache"
+	"subcache/internal/kernelbench"
 	"subcache/internal/multipass"
 	"subcache/internal/trace"
 )
@@ -45,7 +47,8 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 	// The multipass-safe configuration axes -- write-through and
 	// copy-back, write-ignore, and the FIFO/Random allocate fallback of
 	// the batch loop -- must stay 0-alloc on both entry points, batch
-	// included (its packed scratch is preallocated).
+	// included: its packed scratch is allocated by the first batch
+	// (AllocsPerRun's warm-up call) and reused by every later one.
 	variants := []struct {
 		name   string
 		mutate func(*cache.Config)
@@ -75,4 +78,26 @@ func TestFamilyAccessNoAllocs(t *testing.T) {
 			t.Errorf("%s batch path allocates %.1f per chunk, want 0", v.name, n)
 		}
 	}
+}
+
+// TestNewAllocatesOnlyLaneState bounds what constructing a family
+// costs: its tag arrays and lane tables, with no per-family chunk
+// scratch.  The sweep executors build one family per planned unit and
+// feed it through AccessBatchPacked, so a trace.ChunkRefs-word pack
+// buffer allocated here would be 64 KB per family that nothing reads.
+func TestNewAllocatesOnlyLaneState(t *testing.T) {
+	const limit = 16 << 10
+	cfgs := kernelbench.Geometry()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fam, err := multipass.New(cfgs)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+		t.Errorf("multipass.New on the %d-lane %d B geometry allocated %d bytes, want < %d",
+			len(cfgs), cfgs[0].NetSize, n, limit)
+	}
+	runtime.KeepAlive(fam)
 }

@@ -139,8 +139,10 @@ type Family struct {
 
 	// packBuf is AccessBatch's scratch for the packed form of the
 	// chunk (see trace.PackRefs): the hot loops read one word per
-	// reference.  AccessBatchPacked callers supply the packed chunk
-	// themselves and share one packing pass across sibling families.
+	// reference.  It is allocated on first use, sized to the batch:
+	// the sweep executors call AccessBatchPacked, supplying the packed
+	// chunk themselves and sharing one packing pass across sibling
+	// families, so their families never need it.
 	packBuf []uint64
 
 	// memoI/memoD are per-stream same-block memos: the frame the last
@@ -336,7 +338,6 @@ func New(cfgs []cache.Config) (*Family, error) {
 	f.bitMiss = make([]uint64, 64)
 	f.bitMissW = make([]uint64, 64)
 	f.blkMissHist = make([]uint64, words)
-	f.packBuf = make([]uint64, trace.ChunkRefs)
 	f.vcTouch = make([]uint64, f.nPlanes*vcDepth)
 	f.vcSpill = make([]uint64, f.nPlanes*64)
 	return f, nil
@@ -688,13 +689,14 @@ func (f *Family) accessPacked(refs []trace.Ref, packed []uint64) {
 		// sub-block, a demand fill loads exactly it, and nothing is ever
 		// written back, so valid == touched == refBits[0] is invariant
 		// on every filled frame.  That collapses hit and miss onto one
-		// straight-line body with no unpredictable branches: the tag
-		// scan compiles to conditional moves, the LRU victim is the low
-		// field of the set's order byte, and every store is
-		// unconditional -- on a hit it rewrites the value the
-		// frame already holds.  These families carry the sweep's worst
-		// miss rates and no block locality for the memo to exploit, so
-		// the branch-free body beats the memoized one.  Retired touched
+		// body with no miss path: the tag scan visits every filled way
+		// with no early break (on go1.24/amd64 it compiles to a compare
+		// and a conditional jump per way, not to conditional moves), the
+		// LRU victim is the low field of the set's order byte, and the
+		// tag store is unconditional -- on a hit it rewrites the value
+		// the frame already holds.  These families carry the sweep's
+		// worst miss rates and no block locality for the memo to
+		// exploit, so this body beats the memoized one.  Retired touched
 		// bits and the miss histogram are uniform, folded from the
 		// eviction and miss totals after the loop.
 		need := refBits[0]
@@ -782,9 +784,9 @@ func (f *Family) accessPacked(refs []trace.Ref, packed []uint64) {
 			} else {
 				nf := int(setFill[setIdx])
 				fi = -1
-				// No early break: a fixed scan compiles to conditional
-				// moves, trading a couple of extra tag loads for zero
-				// branch mispredicts on the match position.
+				// No early break: the scan visits every filled way.
+				// On go1.24/amd64 each way still compiles to a compare
+				// and a conditional jump, not to a conditional move.
 				for w := 0; w < nf; w++ {
 					if tags[sbase+w] == ba {
 						fi = sbase + w

@@ -496,3 +496,155 @@ func journalHasKind(t *testing.T, path, kind, fp string) bool {
 	}
 	return false
 }
+
+// TestDoneJobRetention bounds what a long-lived server keeps per
+// completed job.  Done jobs leave the job table; the memory tier holds
+// only the result that was read back from the store; and a done id is
+// still served -- status, byte-identical result and event stream --
+// from disk, exactly as after a restart.
+func TestDoneJobRetention(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 2})
+	const n = 4
+	done := make([]SubmitResponse, n)
+	for i := range done {
+		code, resp := post(t, ts, smallRequest(2200+i), true)
+		if code != http.StatusOK || resp.Status != string(StatusDone) {
+			t.Fatalf("job %d: code %d status %q (%s)", i, code, resp.Status, resp.Error)
+		}
+		done[i] = resp
+	}
+	code, hit := post(t, ts, smallRequest(2200), false)
+	if code != http.StatusOK || !hit.Cached || !bytes.Equal(hit.Result, done[0].Result) {
+		t.Fatalf("repeat: code %d cached=%v, want 200 byte-identical cache hit", code, hit.Cached)
+	}
+
+	s.mu.Lock()
+	for fp, j := range s.jobs {
+		t.Errorf("job table still holds %s (status %s) after it finished", fp, j.status)
+	}
+	s.mu.Unlock()
+
+	memEntries, memBytes := memTier(s.store)
+	if memEntries != 1 || memBytes <= 0 || memBytes > memBudget {
+		t.Fatalf("memory tier holds %d entries / %d bytes, want only the re-read result within %d bytes",
+			memEntries, memBytes, memBudget)
+	}
+	s.store.mu.Lock()
+	held := s.store.entries[done[0].ID]
+	heldOK := held != nil && bytes.Equal(held.mem, done[0].Result)
+	s.store.mu.Unlock()
+	if !heldOK {
+		t.Fatal("memory tier does not hold the re-read result")
+	}
+
+	// A done id that was never re-read is served from the store.
+	id := done[1].ID
+	resp, err := http.Get(ts.URL + "/v1/sweeps/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st SubmitResponse
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || st.Status != string(StatusDone) || !bytes.Equal(st.Result, done[1].Result) {
+		t.Fatalf("GET done id: code %d status %q, byte-identical=%v; want 200 done with the original bytes",
+			resp.StatusCode, st.Status, bytes.Equal(st.Result, done[1].Result))
+	}
+	ev, err := http.Get(ts.URL + "/v1/sweeps/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ev.Body.Close()
+	if ev.StatusCode != http.StatusOK {
+		t.Fatalf("GET done id events: code %d, want 200", ev.StatusCode)
+	}
+	stats, err := telemetry.ValidateStream(ev.Body)
+	if err != nil {
+		t.Fatalf("done id's event stream invalid: %v", err)
+	}
+	if stats.ByType[telemetry.EventRunEnd] != 1 {
+		t.Fatalf("done id's event stream has %d run-end events, want 1", stats.ByType[telemetry.EventRunEnd])
+	}
+}
+
+// TestStoreMemTierRetention pins the memory tier's policy at the store
+// level: a write admits nothing, a verified disk read admits the
+// payload, the least-recently-read payloads leave past the budget, a
+// payload larger than the budget is never held, and TTL expiry drops a
+// held payload with its entry.
+func TestStoreMemTierRetention(t *testing.T) {
+	st, err := openStore(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(c byte) []byte { return []byte(`{"x":"` + strings.Repeat(string(c), 90) + `"}`) }
+	for _, fp := range []string{"a", "b", "c"} {
+		if _, _, err := st.put(fp, payload(fp[0])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := memTier(st); n != 0 {
+		t.Fatalf("memory tier holds %d entries after writes alone, want 0", n)
+	}
+	get := func(fp string, want storeStatus) {
+		t.Helper()
+		b, status := st.get(fp)
+		if status != want {
+			t.Fatalf("get(%s) status %d, want %d", fp, status, want)
+		}
+		if (want == storeHit || want == storeMemHit) && !bytes.Equal(b, payload(fp[0])) {
+			t.Fatalf("get(%s) payload differs from what was put", fp)
+		}
+	}
+	held := func(fp string) bool {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.entries[fp] != nil && st.entries[fp].mem != nil
+	}
+	get("a", storeHit)
+	get("a", storeMemHit)
+
+	size := int64(len(payload('a')))
+	st.memMax = 2 * size
+	get("b", storeHit)
+	get("a", storeMemHit) // a is now the most recently read
+	get("c", storeHit)    // evicts b, the least recently read
+	if held("b") || !held("a") || !held("c") {
+		t.Fatalf("after overflow: held a=%v b=%v c=%v, want a and c", held("a"), held("b"), held("c"))
+	}
+	if n, b := memTier(st); n != 2 || b > st.memMax {
+		t.Fatalf("memory tier %d entries / %d bytes, want 2 within %d", n, b, st.memMax)
+	}
+	get("b", storeHit) // still on disk
+
+	st.memMax = size - 1
+	st.mu.Lock()
+	for _, e := range st.entries {
+		st.forgetLocked(e)
+	}
+	st.mu.Unlock()
+	get("a", storeHit)
+	if held("a") {
+		t.Fatal("a payload larger than the whole budget was admitted")
+	}
+
+	st.memMax = memBudget
+	get("c", storeHit)
+	st.mu.Lock()
+	st.ttl = time.Minute
+	st.entries["c"].written = time.Now().Add(-time.Hour)
+	st.mu.Unlock()
+	get("c", storeExpired)
+	if n, b := memTier(st); n != 0 || b != 0 {
+		t.Fatalf("expired entry left %d entries / %d bytes in the memory tier", n, b)
+	}
+}
+
+// memTier returns the store's memory-tier entry count and byte total.
+func memTier(st *diskStore) (entries int, bytes int64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.memLRU.Len(), st.memBytes
+}

@@ -8,10 +8,18 @@
 // simulation, one result-cache entry, and one checkpoint journal.
 // Concurrent identical requests are deduplicated singleflight-style
 // (they join the in-flight job and all observe its one result), and a
-// completed fingerprint is never re-simulated: results are cached in
-// memory and in the verified on-disk store (<dir>/cache/<fp>.json,
-// written atomically, checksummed on read, TTL- and size-bounded; see
-// store.go).
+// completed fingerprint is never re-simulated: results live in the
+// verified on-disk store (<dir>/cache/<fp>.json, written atomically,
+// checksummed on read, TTL- and size-bounded), fronted by a
+// budget-bounded memory tier that holds only results read back from
+// it (see store.go).
+//
+// What stays resident is bounded by live work, not by history: the
+// job table holds queued and running jobs, plus the status and error
+// text of failed and canceled ones.  A job that finishes done leaves
+// the table -- its waiters already hold the result -- and from then on
+// its id is served from the store and its on-disk event stream, exactly
+// as after a restart.
 //
 // The job table itself is durable: every state transition is one
 // fsynced record in the <dir>/jobs.jsonl write-ahead journal (see
@@ -171,9 +179,10 @@ type job struct {
 
 	status  jobStatus
 	errText string
-	result  []byte // encoded Result, set iff status == StatusDone
-	done    chan struct{}
-	cancel  context.CancelFunc // set while running
+	// result is the encoded Result, set iff status == StatusDone.  Only
+	// the job's waiters see it: a done job leaves the job table.
+	result []byte
+	done   chan struct{}
 }
 
 // closeRecorder ends any spans still open and finalises the job's
@@ -196,10 +205,12 @@ type Server struct {
 	journal *jobJournal
 	store   *diskStore
 
-	mu         sync.Mutex
-	jobs       map[string]*job // fingerprint -> latest job
-	tenants    map[string]int  // tenant -> live jobs
-	memCache   map[string][]byte
+	mu sync.Mutex
+	// jobs maps a fingerprint to its queued or running job, or to the
+	// status-only remains of its failed or canceled one (see
+	// finishLocked); done jobs are served from the store instead.
+	jobs       map[string]*job
+	tenants    map[string]int // tenant -> live jobs
 	queued     int
 	recovering int // recovered jobs not yet terminal
 	draining   bool
@@ -271,13 +282,12 @@ func New(opts Options) (*Server, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		opts:     opts,
-		rec:      rec,
-		journal:  journal,
-		store:    store,
-		jobs:     make(map[string]*job),
-		tenants:  make(map[string]int),
-		memCache: make(map[string][]byte),
+		opts:    opts,
+		rec:     rec,
+		journal: journal,
+		store:   store,
+		jobs:    make(map[string]*job),
+		tenants: make(map[string]int),
 		// Recovered jobs ride above QueueDepth so re-admission can
 		// never block or refuse what a previous process accepted.
 		queue:      make(chan *job, opts.QueueDepth+len(recovered)),
@@ -387,8 +397,8 @@ func (s *Server) submit(req sweep.Request, wire *SweepRequest, fp, tenant string
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	// Result cache, memory then verified disk store: a completed
-	// fingerprint is never simulated again.
+	// Result cache (the store's memory tier, then the verified disk
+	// entry): a completed fingerprint is never simulated again.
 	if b := s.cachedLocked(fp); b != nil {
 		s.rec.Add(telemetry.CacheHits, 1)
 		return submitOutcome{status: StatusDone, result: b, cached: true}, nil
@@ -442,30 +452,21 @@ func (s *Server) submit(req sweep.Request, wire *SweepRequest, fp, tenant string
 	return submitOutcome{job: j, status: StatusQueued}, nil
 }
 
-// cachedLocked returns the encoded result for fp from the memory
-// cache, falling back to (and refilling from) the verified disk store.
-// TTL expiry and verification failures surface here: an expired entry
-// is evicted (journal record, counter, checkpoint reclaimed) and a
-// corrupt one quarantined and counted; both read as a miss, so the
-// caller transparently re-simulates.  Caller holds mu.
+// cachedLocked returns the encoded result for fp from the store: its
+// memory tier, else the verified disk entry.  TTL expiry and
+// verification failures surface here: an expired entry is evicted
+// (journal record, counter, checkpoint reclaimed) and a corrupt one
+// quarantined and counted; both read as a miss, so the caller
+// transparently re-simulates.  Caller holds mu.
 func (s *Server) cachedLocked(fp string) []byte {
-	if b, ok := s.memCache[fp]; ok {
-		if fresh, expired := s.store.touch(fp); fresh {
-			return b
-		} else if expired {
-			s.noteEvictionsLocked([]string{fp}, true)
-		}
-		// Evicted or expired on disk: the memory copy dies with it.
-		delete(s.memCache, fp)
-		return nil
-	}
 	t0 := time.Now()
 	payload, status := s.store.get(fp)
-	// Disk-read latency only; memory-cache hits return above unobserved.
-	s.rec.ObserveDur(telemetry.HistCacheRead, time.Since(t0))
+	if status != storeMemHit {
+		// Disk-read latency only; memory-tier hits go unobserved.
+		s.rec.ObserveDur(telemetry.HistCacheRead, time.Since(t0))
+	}
 	switch status {
-	case storeHit:
-		s.memCache[fp] = payload
+	case storeHit, storeMemHit:
 		return payload
 	case storeExpired:
 		s.noteEvictionsLocked([]string{fp}, true)
@@ -476,13 +477,12 @@ func (s *Server) cachedLocked(fp string) []byte {
 }
 
 // noteEvictionsLocked records store evictions: counter, a journal
-// evicted record per fingerprint, the memory copy dropped, and -- for
-// TTL reclamation -- the checkpoint journal removed too (a stale
-// result's resume insurance is equally stale).  Caller holds mu.
+// evicted record per fingerprint, and -- for TTL reclamation -- the
+// checkpoint journal removed too (a stale result's resume insurance is
+// equally stale).  Caller holds mu.
 func (s *Server) noteEvictionsLocked(fps []string, reclaimCheckpoint bool) {
 	for _, fp := range fps {
 		s.rec.Add(telemetry.CacheEvictions, 1)
-		delete(s.memCache, fp)
 		s.journal.append(JournalRecord{Kind: KindEvicted, FP: fp})
 		if reclaimCheckpoint {
 			os.Remove(s.checkpointPath(fp))
@@ -524,7 +524,6 @@ func (s *Server) worker() {
 		}
 		ctx, cancel := context.WithCancel(s.runCtx)
 		j.status = StatusRunning
-		j.cancel = cancel
 		// Best effort: if this record is lost, replay re-runs from the
 		// admitted record and the checkpoint journal still dedups work.
 		s.journal.append(JournalRecord{Kind: KindStarted, FP: j.fp})
@@ -540,13 +539,20 @@ func (s *Server) worker() {
 }
 
 // finishLocked moves a job to a terminal state, journals the
-// transition, and releases its quota.  Caller holds mu.
+// transition, releases its quota, and shrinks its job-table entry: a
+// done job leaves the table (its result is in the store, which serves
+// the id from now on), and a failed or canceled one is replaced by a
+// record of its status and error text alone, dropping the request and
+// the telemetry recorder.  Waiters hold j itself and still read its
+// result.  The caller has closed the job's recorder.  Caller holds mu.
 func (s *Server) finishLocked(j *job, status jobStatus, result []byte, errText string) {
 	j.status = status
 	j.errText = errText
 	j.result = result
 	if status == StatusDone {
-		s.memCache[j.fp] = result
+		delete(s.jobs, j.fp)
+	} else {
+		s.jobs[j.fp] = &job{fp: j.fp, status: status, errText: errText, done: j.done}
 	}
 	if !j.admittedAt.IsZero() {
 		s.rec.ObserveDur(telemetry.HistJobLatency, time.Since(j.admittedAt))

@@ -19,9 +19,20 @@
 // checkpoint journals are kept, so an evicted fingerprint re-simulates
 // cheaply by journal resume.  Access order survives restarts via
 // best-effort mtime updates on hits.
+//
+// In front of the disk sits a memory tier bounded by memBudget.  It
+// admits a payload only when the payload is read back from disk and
+// verified -- never when it is written -- because in sweep traffic a
+// result that is read once tends to be read again, while most fresh
+// results never are.  Past the budget the least-recently-read payloads
+// leave memory (their disk entries stay).  A memory copy lives on its
+// index entry, so TTL expiry, size-cap eviction and quarantine drop it
+// together with the entry, and it is never served after its entry is
+// gone.
 package service
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -40,6 +51,11 @@ import (
 // a different version fail verification and are quarantined.
 const storeVersion = 1
 
+// memBudget bounds the payload bytes the memory tier holds.  A typical
+// request's result is tens of kilobytes, so the budget holds on the
+// order of a thousand repeatedly read fingerprints.
+const memBudget = 32 << 20
+
 // storeEnvelope is the on-disk form of one cache entry.
 type storeEnvelope struct {
 	V           int             `json:"v"`
@@ -55,8 +71,11 @@ type storeStatus int
 const (
 	// storeMiss: no entry (never written, or evicted earlier).
 	storeMiss storeStatus = iota
-	// storeHit: a verified, fresh entry.
+	// storeHit: a verified, fresh entry read from disk (and now held
+	// by the memory tier, if it fits the budget).
 	storeHit
+	// storeMemHit: a fresh entry served from the memory tier.
+	storeMemHit
 	// storeExpired: the entry outlived the TTL and was reclaimed.
 	storeExpired
 	// storeCorrupt: the entry failed verification and was quarantined.
@@ -68,25 +87,35 @@ type storeInfo struct {
 	size    int64
 	written time.Time
 	lastUse time.Time
+	// mem is the entry's verified payload while the memory tier holds
+	// it (nil otherwise); memElem is its element in the tier's LRU list.
+	mem     []byte
+	memElem *list.Element
 }
 
-// diskStore indexes and bounds the on-disk result cache.  All methods
-// are safe for concurrent use; file I/O happens under the store mutex,
-// which is fine at request granularity.
+// diskStore indexes and bounds the on-disk result cache and its memory
+// tier.  All methods are safe for concurrent use; file I/O happens
+// under the store mutex, which is fine at request granularity.
 type diskStore struct {
 	dir      string // the cache directory
 	ttl      time.Duration
 	maxBytes int64
+	memMax   int64 // the memory tier's byte budget (memBudget)
 
 	mu      sync.Mutex
 	entries map[string]*storeInfo
 	total   int64
+	// memLRU orders the memory tier's entries (*storeInfo), most
+	// recently read first; memBytes sums their payload lengths.
+	memLRU   list.List
+	memBytes int64
 }
 
 // openStore indexes every result entry already on disk.  Sizes and
 // times come from file metadata; full verification happens on access.
+// The memory tier starts empty.
 func openStore(dir string, ttl time.Duration, maxBytes int64) (*diskStore, error) {
-	st := &diskStore{dir: dir, ttl: ttl, maxBytes: maxBytes, entries: make(map[string]*storeInfo)}
+	st := &diskStore{dir: dir, ttl: ttl, maxBytes: maxBytes, memMax: memBudget, entries: make(map[string]*storeInfo)}
 	des, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("service: cache: %w", err)
@@ -115,29 +144,24 @@ func payloadSum(payload []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// touch reports whether a fresh entry exists for fp, bumping its access
-// time; expired reports that the entry existed but outlived the TTL and
-// was reclaimed just now (the caller owns the bookkeeping: counters,
-// journal record, checkpoint removal).
-func (st *diskStore) touch(fp string) (ok, expired bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, found := st.entries[fp]
-	if !found {
-		return false, false
-	}
-	if st.expiredLocked(e, time.Now()) {
-		st.dropLocked(fp, e)
-		return false, true
-	}
-	e.lastUse = time.Now()
-	return true, false
-}
-
-// get loads and fully verifies one entry.
+// get returns one fresh, verified entry: from the memory tier if it
+// holds the entry, otherwise read from disk and fully verified, which
+// admits the payload to the memory tier.  An entry past its TTL is
+// reclaimed (storeExpired) and one that fails verification is
+// quarantined (storeCorrupt), wherever it was found.
 func (st *diskStore) get(fp string) ([]byte, storeStatus) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	now := time.Now()
+	if e, ok := st.entries[fp]; ok && e.mem != nil {
+		if st.expiredLocked(e, now) {
+			st.dropLocked(fp, e)
+			return nil, storeExpired
+		}
+		e.lastUse = now
+		st.memLRU.MoveToFront(e.memElem)
+		return e.mem, storeMemHit
+	}
 	path := st.path(fp)
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -153,7 +177,6 @@ func (st *diskStore) get(fp string) ([]byte, storeStatus) {
 		st.quarantineLocked(fp, path)
 		return nil, storeCorrupt
 	}
-	written := time.UnixMilli(env.WrittenUnix)
 	e, ok := st.entries[fp]
 	if !ok {
 		// Written behind our back (another process sharing the dir);
@@ -162,16 +185,42 @@ func (st *diskStore) get(fp string) ([]byte, storeStatus) {
 		st.entries[fp] = e
 		st.total += e.size
 	}
-	e.written = written
-	if st.expiredLocked(e, time.Now()) {
+	e.written = time.UnixMilli(env.WrittenUnix)
+	if st.expiredLocked(e, now) {
 		st.dropLocked(fp, e)
 		return nil, storeExpired
 	}
-	e.lastUse = time.Now()
+	e.lastUse = now
 	// Persist the access order across restarts; best effort.
-	now := time.Now()
 	os.Chtimes(path, now, now)
+	st.admitLocked(e, env.Payload)
 	return env.Payload, storeHit
+}
+
+// admitLocked puts a verified payload in the memory tier, then evicts
+// least-recently-read payloads until the tier fits its budget.  A
+// payload larger than the whole budget is not admitted.
+func (st *diskStore) admitLocked(e *storeInfo, payload []byte) {
+	if int64(len(payload)) > st.memMax {
+		return
+	}
+	e.mem = payload
+	e.memElem = st.memLRU.PushFront(e)
+	st.memBytes += int64(len(payload))
+	for st.memBytes > st.memMax {
+		st.forgetLocked(st.memLRU.Back().Value.(*storeInfo))
+	}
+}
+
+// forgetLocked drops an entry's memory copy, if any; the disk entry
+// stays.
+func (st *diskStore) forgetLocked(e *storeInfo) {
+	if e.memElem == nil {
+		return
+	}
+	st.memLRU.Remove(e.memElem)
+	st.memBytes -= int64(len(e.mem))
+	e.mem, e.memElem = nil, nil
 }
 
 // put atomically writes one verified entry, then applies the TTL and
@@ -197,6 +246,9 @@ func (st *diskStore) put(fp string, payload []byte) (expired, evicted []string, 
 	defer st.mu.Unlock()
 	now := time.Now()
 	if e, ok := st.entries[fp]; ok {
+		// A rewrite replaces the payload; a stale memory copy must not
+		// outlive it.
+		st.forgetLocked(e)
 		st.total += int64(len(b)) - e.size
 		e.size = int64(len(b))
 		e.written, e.lastUse = now, now
@@ -205,42 +257,43 @@ func (st *diskStore) put(fp string, payload []byte) (expired, evicted []string, 
 		st.total += int64(len(b))
 	}
 	// TTL reclamation first (it frees space the LRU pass then may not
-	// need), oldest first for determinism.
-	for _, cand := range st.sortedLocked(func(a, b *storeInfo) bool { return a.written.Before(b.written) }) {
-		e := st.entries[cand]
-		if cand == fp || !st.expiredLocked(e, now) {
-			continue
+	// need), oldest first for determinism.  One scan finds the expired
+	// entries; only they are sorted.
+	if st.ttl > 0 {
+		for cand, e := range st.entries {
+			if cand != fp && st.expiredLocked(e, now) {
+				expired = append(expired, cand)
+			}
 		}
-		st.dropLocked(cand, e)
-		expired = append(expired, cand)
+		st.sortLocked(expired, func(a, b *storeInfo) bool { return a.written.Before(b.written) })
+		for _, cand := range expired {
+			st.dropLocked(cand, st.entries[cand])
+		}
 	}
-	// LRU size cap.
-	if st.maxBytes > 0 {
-		for _, cand := range st.sortedLocked(func(a, b *storeInfo) bool { return a.lastUse.Before(b.lastUse) }) {
+	// LRU size cap, sorted only when the cap is exceeded.
+	if st.maxBytes > 0 && st.total > st.maxBytes {
+		fps := make([]string, 0, len(st.entries))
+		for cand := range st.entries {
+			fps = append(fps, cand)
+		}
+		st.sortLocked(fps, func(a, b *storeInfo) bool { return a.lastUse.Before(b.lastUse) })
+		for _, cand := range fps {
 			if st.total <= st.maxBytes {
 				break
 			}
 			if cand == fp {
 				continue
 			}
-			e, ok := st.entries[cand]
-			if !ok {
-				continue
-			}
-			st.dropLocked(cand, e)
+			st.dropLocked(cand, st.entries[cand])
 			evicted = append(evicted, cand)
 		}
 	}
 	return expired, evicted, nil
 }
 
-// sortedLocked returns the index's fingerprints ordered by less over
-// their infos (ties broken by fingerprint for determinism).
-func (st *diskStore) sortedLocked(less func(a, b *storeInfo) bool) []string {
-	fps := make([]string, 0, len(st.entries))
-	for fp := range st.entries {
-		fps = append(fps, fp)
-	}
+// sortLocked orders fps by less over their infos (ties broken by
+// fingerprint for determinism).
+func (st *diskStore) sortLocked(fps []string, less func(a, b *storeInfo) bool) {
 	sort.Slice(fps, func(i, j int) bool {
 		a, b := st.entries[fps[i]], st.entries[fps[j]]
 		if less(a, b) != less(b, a) {
@@ -248,7 +301,6 @@ func (st *diskStore) sortedLocked(less func(a, b *storeInfo) bool) []string {
 		}
 		return fps[i] < fps[j]
 	})
-	return fps
 }
 
 // expiredLocked applies the TTL policy.
@@ -263,6 +315,7 @@ func (st *diskStore) dropLocked(fp string, e *storeInfo) {
 }
 
 func (st *diskStore) dropIndexLocked(fp string, e *storeInfo) {
+	st.forgetLocked(e)
 	st.total -= e.size
 	delete(st.entries, fp)
 }

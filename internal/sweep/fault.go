@@ -259,11 +259,25 @@ func newPackSet(units []*simUnit) *packSet {
 		}
 		if !ps.has(shift) {
 			ps.shifts = append(ps.shifts, shift)
-			ps.bufs = append(ps.bufs, make([]uint64, trace.ChunkRefs))
+			ps.bufs = append(ps.bufs, *packPool.Get().(*[]uint64))
 			ps.done = append(ps.done, false)
 		}
 	}
 	return ps
+}
+
+// release returns the set's chunk-sized buffers to packPool for the
+// next pass; the set must not be used afterwards.
+func (ps *packSet) release() {
+	if ps == nil {
+		return
+	}
+	for i, b := range ps.bufs {
+		if len(b) == trace.ChunkRefs {
+			packPool.Put(&b)
+		}
+		ps.bufs[i] = nil
+	}
 }
 
 func (ps *packSet) has(shift uint) bool {

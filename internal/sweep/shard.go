@@ -41,6 +41,17 @@ import (
 // sizing rationale).
 const chunkRefs = trace.ChunkRefs
 
+// chunkPool and packPool recycle the executors' fixed-size buffers
+// across passes: the chunk ring's chunkRefs-reference buffers (128 KB
+// each, 2*shards+2 per pass) and the packSets' chunkRefs-word packed
+// chunks (64 KB per word granularity per shard).  A sweep runs one
+// pass per workload, and a service job's passes are short, so without
+// reuse a pass would allocate its whole ring to stream a few chunks.
+var (
+	chunkPool = sync.Pool{New: func() any { b := make([]trace.Ref, chunkRefs); return &b }}
+	packPool  = sync.Pool{New: func() any { b := make([]uint64, chunkRefs); return &b }}
+)
+
 // chunk is one slice of the word trace in flight to every shard.  left
 // counts shards that have yet to finish it; the last one returns the
 // backing buffer to the free ring.
@@ -166,6 +177,12 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		runners[si] = &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), estCost: costs[si], packs: newPackSet(units)}
 		total += len(units)
 	}
+	// Every return comes before the workers start or after they exit.
+	defer func() {
+		for _, rn := range runners {
+			rn.packs.release()
+		}
+	}()
 	if total == 0 {
 		return make([]metrics.Run, len(cfgs)), make([]bool, len(cfgs)), dedupGroupFailures(failed), nil
 	}
@@ -199,7 +216,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	// an empty ring, i.e. from the slowest shard.
 	free := make(chan []trace.Ref, nbuf)
 	for i := 0; i < nbuf; i++ {
-		free <- make([]trace.Ref, chunkRefs)
+		free <- *chunkPool.Get().(*[]trace.Ref)
 	}
 
 	var produceErr error
@@ -314,6 +331,13 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 		}(rn)
 	}
 	wg.Wait()
+	// The pass is over: recycle every buffer back in the ring.  A chunk
+	// abandoned mid-broadcast by a cancelled pass never returns to it
+	// and is left to the collector.
+	for len(free) > 0 {
+		b := <-free
+		chunkPool.Put(&b)
+	}
 
 	// Publish per-shard telemetry: the aggregates, the simulate-stage
 	// time, and one shard-stat event per worker.  Emitted even for

@@ -795,6 +795,7 @@ func simulateOnePass(ctx context.Context, prof synth.Profile, req Request, eng E
 	live := len(units)
 	chunk := 0
 	packs := newPackSet(units)
+	defer packs.release()
 	for off := 0; off < len(accesses) && live > 0; off += trace.ChunkRefs {
 		if ctx.Err() != nil {
 			return nil, pointErrors(prof.Name, req.Points, failed)
