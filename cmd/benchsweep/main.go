@@ -11,8 +11,10 @@
 //	           [-pprof ADDR] [-cpuprofile FILE] [-memprofile FILE]
 //	           [-events FILE] [-manifest FILE] [-progress]
 //
-// The engine comparison times the materialised per-point Reference
-// engine against the single-pass MultiPass and StackDist engines,
+// The engine comparison times the per-point Reference engine (one cache
+// per grid point) against the single-pass MultiPass and StackDist
+// engines, all three on the one chunk-broadcast executor at the auto
+// shard count,
 // recording per-engine ns_per_ref and passes_per_workload so the
 // one-pass stack-distance kernel's win over the family kernel is
 // tracked alongside the headline pass reduction.  The shard curve then
@@ -28,8 +30,8 @@
 // SIGINT/SIGTERM cancel the run at the next chunk boundary: the event
 // stream is flushed and closed, RUN.json records interrupted: true,
 // and benchsweep exits non-zero.  -verify additionally cross-checks that both
-// single-pass engines at shards=-1, 1 and NumCPU reproduce the
-// materialised MultiPass baseline bit for bit -- with StackDist making
+// single-pass engines at shards=1 and NumCPU reproduce the Reference
+// engine, the per-point oracle, bit for bit -- with StackDist making
 // exactly one trace pass per workload -- exiting non-zero on any
 // mismatch (the CI smoke step runs this).
 //
@@ -58,6 +60,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sort"
@@ -242,10 +245,15 @@ func main() {
 		if err := verifyShardIdentity(ctx, netSizes, *refs); err != nil {
 			die("benchsweep: verify:", err)
 		}
-		fmt.Printf("verify ok: shards=1, shards=%d and the materialised baseline agree on every counter\n", runtime.NumCPU())
+		fmt.Printf("verify ok: multipass and stackdist at shards=1 and shards=%d agree with the reference engine on every counter\n", runtime.NumCPU())
 	}
 
 	if *checkpoint != "" {
+		// Like -out and the telemetry files, the journal may name a
+		// directory that does not exist yet.
+		if err := os.MkdirAll(filepath.Dir(*checkpoint), 0o755); err != nil {
+			die("benchsweep: checkpoint:", err)
+		}
 		if err := verifyCheckpointResume(ctx, netSizes, *refs, *checkpoint); err != nil {
 			die("benchsweep: checkpoint:", err)
 		}
@@ -426,27 +434,23 @@ func timeSweep(ctx context.Context, netSizes []int, refs int, base sweep.Request
 }
 
 // verifyShardIdentity proves the single-pass engines exact on the full
-// grid: for every architecture, the materialised MultiPass baseline
-// (Shards: -1) must be matched bit-for-bit by MultiPass and StackDist
-// at shards=-1, 1 and NumCPU -- every run and summary identical, and
-// the StackDist sweeps making exactly one trace pass per workload.
+// grid: for every architecture, the Reference engine's per-point
+// results (the oracle: one cache.Cache per point) must be matched
+// bit-for-bit by MultiPass and StackDist at shards=1 and NumCPU --
+// every run and summary identical, and the StackDist sweeps making
+// exactly one trace pass per workload.
 func verifyShardIdentity(ctx context.Context, netSizes []int, refs int) error {
 	for _, a := range synth.AllArchs() {
 		base := sweep.Request{
 			Arch: a, Points: sweep.Grid(netSizes, a.WordSize()),
-			Refs: refs, Engine: sweep.MultiPass,
+			Refs: refs, Engine: sweep.Reference,
 		}
-		want := base
-		want.Shards = -1
-		wantRes, err := sweep.RunContext(ctx, want)
+		wantRes, err := sweep.RunContext(ctx, base)
 		if err != nil {
 			return fmt.Errorf("%s baseline: %w", a, err)
 		}
 		for _, eng := range []sweep.Engine{sweep.MultiPass, sweep.StackDist} {
-			for _, s := range []int{-1, 1, runtime.NumCPU()} {
-				if eng == sweep.MultiPass && s == -1 {
-					continue // the baseline itself
-				}
+			for _, s := range []int{1, runtime.NumCPU()} {
 				req := base
 				req.Engine = eng
 				req.Shards = s
@@ -456,7 +460,7 @@ func verifyShardIdentity(ctx context.Context, netSizes []int, refs int) error {
 				}
 				if !reflect.DeepEqual(res.Runs, wantRes.Runs) ||
 					!reflect.DeepEqual(res.Summaries, wantRes.Summaries) {
-					return fmt.Errorf("%s: %s shards=%d results differ from the materialised multipass baseline", a, eng, s)
+					return fmt.Errorf("%s: %s shards=%d results differ from the reference engine", a, eng, s)
 				}
 				if eng == sweep.StackDist {
 					if workloads := len(synth.Workloads(a)); res.TracePasses != workloads {

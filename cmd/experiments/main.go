@@ -17,9 +17,10 @@
 // (still one pass, fewest simulated lanes), "reference" replays the
 // trace once per configuration; all three produce byte-identical
 // artifacts (a regression test enforces it).  -shards
-// sets the intra-workload shard count of the streaming executor (0,
-// the default, picks a machine-appropriate value; the shard count
-// never changes the artifacts, only the wall clock).
+// sets the intra-workload shard count of the chunk-broadcast executor
+// every engine runs on (0, the default, picks a machine-appropriate
+// value; 1 is the one-pass case; the shard count never changes the
+// artifacts, only the wall clock).
 //
 // The shared observability bundle (internal/telemetry) adds profiling
 // (-pprof, -cpuprofile, -memprofile), a structured JSONL event stream
@@ -55,7 +56,7 @@ func main() {
 		out    = flag.String("out", "results", "output directory")
 		run    = flag.String("run", "all", "comma-separated experiment ids, or 'all'")
 		engine = flag.String("engine", "multipass", "sweep engine: multipass, stackdist or reference")
-		shards = flag.Int("shards", 0, "shard workers per workload (0 = auto, <0 = materialised baseline)")
+		shards = flag.Int("shards", 0, fmt.Sprintf("shard workers per workload (0 = auto, otherwise 1 to %d)", sweep.MaxShards))
 		ckpt   = flag.String("checkpoint", "", "journal `file`: record each finished workload sweep and, on a rerun, resume past the recorded ones (ablations with config overrides always re-run)")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
 		ascii  = flag.Bool("ascii", false, "also print ASCII renderings of figures")
@@ -67,6 +68,10 @@ func main() {
 	eng, err := sweep.ParseEngine(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
+	if *shards < 0 || *shards > sweep.MaxShards {
+		fmt.Fprintf(os.Stderr, "experiments: -shards %d out of range [0, %d]\n", *shards, sweep.MaxShards)
 		os.Exit(2)
 	}
 

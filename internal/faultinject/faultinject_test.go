@@ -125,6 +125,9 @@ func TestCampaignAttributedOrSurvived(t *testing.T) {
 	for _, p := range synth.Workloads(synth.PDP11) {
 		workloads = append(workloads, p.Name)
 	}
+	// Every engine runs at two shard counts.  The variant names are
+	// stable subtest ids: "legacy" runs the auto shard count and
+	// "materialised" the one-pass (shards=1) schedule.
 	variants := []struct {
 		name   string
 		engine sweep.Engine
@@ -132,9 +135,9 @@ func TestCampaignAttributedOrSurvived(t *testing.T) {
 	}{
 		{"reference-legacy", sweep.Reference, 0},
 		{"reference-sharded", sweep.Reference, 2},
-		{"multipass-materialised", sweep.MultiPass, -1},
+		{"multipass-materialised", sweep.MultiPass, 1},
 		{"multipass-sharded", sweep.MultiPass, 2},
-		{"stackdist-materialised", sweep.StackDist, -1},
+		{"stackdist-materialised", sweep.StackDist, 1},
 		{"stackdist-sharded", sweep.StackDist, 2},
 	}
 	injections := Plan(campaignSeed, 10, workloads, testRefs, len(points), 2)
@@ -166,7 +169,7 @@ func TestCampaignAttributedOrSurvived(t *testing.T) {
 func TestFailFastAttribution(t *testing.T) {
 	points := testPoints()
 	target := points[len(points)/2]
-	for _, shards := range []int{-1, 2} {
+	for _, shards := range []int{1, 2} {
 		req := sweep.Request{
 			Arch: synth.PDP11, Points: points, Refs: testRefs,
 			Engine: sweep.MultiPass, Shards: shards,

@@ -144,6 +144,31 @@ func TestCrashRecoveryReplay(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryRejectsUnboundedShards: replay re-resolves every
+// journaled request through the same validation as a live submit, so an
+// admitted record whose shard count is out of range is terminalised as
+// failed instead of reaching the planners (which size their shard
+// tables from it) on every restart.
+func TestCrashRecoveryRejectsUnboundedShards(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "jobs.jsonl")
+	wire := smallRequest(3000)
+	wire.Shards = 1 << 40
+	const fp = "forged-unbounded-shards"
+	appendAll(t, path, JournalRecord{Kind: KindAdmitted, FP: fp, Tenant: "crashed", Req: &wire})
+
+	s, ts := newTestServer(t, Options{Dir: dir, Workers: 1})
+	if n := s.Recovering(); n != 0 {
+		t.Fatalf("Recovering() = %d, want 0: the out-of-range request was re-admitted", n)
+	}
+	if code, body := getReady(t, ts); code != http.StatusOK {
+		t.Fatalf("/readyz: %d %q, want 200", code, body)
+	}
+	if !journalHasKind(t, path, KindFailed, fp) {
+		t.Fatal("out-of-range journaled request was not terminalised as failed")
+	}
+}
+
 // TestDrainThenRestart extends the drain contract across a restart: a
 // gracefully drained job was journaled canceled -- the client was told
 // -- so the next server over the same dir must NOT resurrect it, must

@@ -31,8 +31,8 @@ type SweepRequest struct {
 	// "stackdist", "reference").  Results are bit-identical across
 	// engines, so it does not contribute to the fingerprint.
 	Engine string `json:"engine,omitempty"`
-	// Shards is the intra-workload shard count (0 = auto); like
-	// Engine, execution-only.
+	// Shards is the intra-workload shard count (0 = auto, otherwise 1
+	// to sweep.MaxShards); like Engine, execution-only.
 	Shards int `json:"shards,omitempty"`
 	// Tenant attributes the request for quota accounting; empty maps
 	// to "default".
@@ -69,6 +69,9 @@ func (s *Server) resolve(wire *SweepRequest) (sweep.Request, string, error) {
 	}
 	if wire.Refs <= 0 || wire.Refs > s.opts.MaxRefs {
 		return sweep.Request{}, "", fmt.Errorf("refs %d out of range [1, %d]", wire.Refs, s.opts.MaxRefs)
+	}
+	if wire.Shards < 0 || wire.Shards > sweep.MaxShards {
+		return sweep.Request{}, "", fmt.Errorf("shards %d out of range [0, %d]", wire.Shards, sweep.MaxShards)
 	}
 	if wire.TimeoutSec < 0 || wire.TimeoutSec > maxTimeoutSec {
 		return sweep.Request{}, "", fmt.Errorf("timeout_sec %g out of range [0, %d]", wire.TimeoutSec, maxTimeoutSec)

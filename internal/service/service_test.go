@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"subcache/internal/sweep"
 	"subcache/internal/telemetry"
 )
 
@@ -166,6 +167,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Arch: "PDP-11", Nets: []int{96}, Refs: 1000},                              // not a power of two
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Engine: "warp"},              // unknown engine
 		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Workloads: []string{"nope"}}, // unknown workload
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Shards: -1},                  // negative shards
+		{Arch: "PDP-11", Nets: []int{64}, Refs: 1000, Shards: sweep.MaxShards + 1}, // unbounded shards
 	}
 	for i, req := range bad {
 		if code, resp := post(t, ts, req, false); code != http.StatusBadRequest {

@@ -167,7 +167,7 @@ func marshalRuns(t *testing.T, res *Result) []byte {
 func TestCheckpointResumeByteForByte(t *testing.T) {
 	pts := Grid([]int{64, 256}, 2)
 	base := Request{Arch: synth.PDP11, Points: pts, Refs: 20000,
-		Engine: MultiPass, Shards: -1, Parallelism: 1}
+		Engine: MultiPass, Shards: 1, Parallelism: 1}
 
 	want, err := Run(base)
 	if err != nil {
@@ -327,7 +327,7 @@ func TestCheckpointSkipsFailedWorkloads(t *testing.T) {
 		}
 	}}
 	res, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000,
-		Engine: MultiPass, Shards: -1, ContinueOnError: true,
+		Engine: MultiPass, Shards: 1, ContinueOnError: true,
 		Checkpoint: path, Hooks: boom})
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestCheckpointSkipsFailedWorkloads(t *testing.T) {
 
 	// The retry (no fault) must re-simulate ED and come out clean.
 	got, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 9000,
-		Engine: MultiPass, Shards: -1, Checkpoint: path})
+		Engine: MultiPass, Shards: 1, Checkpoint: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,8 @@ type PointError struct {
 	// every point of the workload; see WorkloadScope.
 	Point Point
 	// Shard is the shard worker index that hosted the failure, or -1
-	// when the failing path was not sharded.
+	// for a failure outside every shard worker: a workload-scope trace
+	// failure or a checkpoint write.
 	Shard int
 	// Cause is the underlying failure: a trace error, a configuration
 	// error, or a *PanicError for a recovered panic.
@@ -142,19 +143,19 @@ func safeCall(fn func()) (err error) {
 // attributed exactly like a real one.  All hooks may be nil.
 type Hooks struct {
 	// WrapSource, if set, wraps each workload's word-split trace
-	// source before simulation starts, for both the materialised and
-	// the streamed executors.  Faults injected here surface as
-	// workload-scope trace errors.
+	// source before the executor starts streaming it.  It is never
+	// called for a workload whose units fail construction under
+	// fail-fast.  Faults injected here surface as workload-scope trace
+	// errors.
 	WrapSource func(workload string, src trace.Source) trace.Source
 	// BeforeChunk is called by each shard worker before it simulates a
 	// chunk.  A panic here kills every unit the shard owns
-	// (shard-scope).  Not called by the unsharded paths, which have no
-	// shard worker to kill.
+	// (shard-scope).
 	BeforeChunk func(workload string, shard, chunk int)
 	// BeforeUnit is called before one simulation unit (a multipass
 	// family, a fallback cache, or a reference-engine point) processes
-	// a chunk; points lists the grid points the unit carries.  A panic
-	// here kills exactly that unit.  shard is -1 on unsharded paths.
+	// a chunk; points lists the grid points the unit carries and shard
+	// the worker that owns it.  A panic here kills exactly that unit.
 	BeforeUnit func(workload string, shard int, points []Point, chunk int)
 }
 
@@ -219,7 +220,7 @@ func (u *simUnit) accessBatch(refs []trace.Ref, packed []uint64, hooks *Hooks, w
 }
 
 // packSet shares one trace.PackRefs pass per broadcast chunk across
-// every multipass family and stack engine an executor drives: the
+// every multipass family and stack engine a shard runner drives: the
 // engines spend a real share of their per-reference budget re-deriving
 // the word index and access kind from the 16-byte Ref, and the packed
 // form is geometry-free, so one buffer per word granularity (in
@@ -289,8 +290,8 @@ func (ps *packSet) has(shift uint) bool {
 	return false
 }
 
-// next invalidates every cached buffer; the executors call it at each
-// chunk boundary before re-feeding the units.
+// next invalidates every cached buffer; the shard runner calls it at
+// each chunk boundary before re-feeding its units.
 func (ps *packSet) next() {
 	if ps == nil {
 		return
@@ -328,9 +329,11 @@ func (ps *packSet) forUnit(u *simUnit, refs []trace.Ref) []uint64 {
 	return nil
 }
 
-// collect finalises the unit and writes its runs into runs (indexed by
-// config index), inside a recovery boundary of its own: a panic while
-// flushing loses only this unit's points.
+// collect finalises a family or reference-cache unit and writes its
+// runs into runs (indexed by config index), inside a recovery boundary
+// of its own: a panic while flushing loses only this unit's points.
+// Stack units never collect alone -- the executor merges sibling set
+// partitions per group.
 func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -342,13 +345,6 @@ func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 		u.fam.FlushUsage()
 		for j, k := range u.idxs {
 			runs[k] = metrics.NewRun(traceName, u.fam.Config(j), u.fam.Stats(j))
-		}
-	case u.stack != nil:
-		// Only whole-stream stack units collect directly; the sharded
-		// executor merges sibling set partitions itself.
-		u.stack.FlushUsage()
-		for j, k := range u.idxs {
-			runs[k] = metrics.NewRun(traceName, u.stack.Config(j), u.stack.Stats(j))
 		}
 	default:
 		u.cache.FlushUsage()

@@ -3,12 +3,14 @@
 // generation by broadcasting fixed-size chunks of the word stream
 // through a ring of reusable buffers.
 //
-// Sharding is across configurations, never across the trace: every
-// family and fallback cache still consumes the complete ordered access
-// stream, and each one is owned by exactly one worker, so per-point
-// counters are bit-identical to the materialised single-pass and
-// reference paths -- only the scheduling changes.  The trace is never
-// materialised; memory stays at O(buffers), not O(refs).
+// This is the one execution path for every engine.  Sharding is across
+// configurations, never across the trace: every family, stack unit and
+// reference cache consumes the complete ordered access stream (a stack
+// unit's set partition filters it, never reorders it), and each one is
+// owned by exactly one worker, so per-point counters are bit-identical
+// at every shard count and across engines -- only the scheduling
+// changes.  The trace is never materialised; memory stays at
+// O(buffers), not O(refs).
 //
 // Fault tolerance: each shard's simulation units (see fault.go) fail
 // independently.  A panicking unit is retired with its configurations
@@ -165,7 +167,7 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 //     and the group's points are attributed exactly once.
 func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, continueOnError bool, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, ok []bool, failed []unitFailure, err error) {
 	enabled := rec.Enabled()
-	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards, false)
+	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards)
 	if len(failed) > 0 && !continueOnError {
 		return nil, nil, failed[:1], nil
 	}
@@ -521,16 +523,16 @@ func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Ho
 }
 
 // simulateSharded evaluates every requested point over one workload via
-// the chunk-broadcast executor, for either engine, translating unit
+// the chunk-broadcast executor, planned by req.Engine, translating unit
 // failures into attributed PointErrors.  A workload aborted by the
 // caller's cancellation returns (nil, nil): a casualty, not a cause.
-func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shards int, eng Engine) (map[Point]metrics.Run, []*PointError) {
+func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shards int) (map[Point]metrics.Run, []*PointError) {
 	cfgs := make([]cache.Config, len(req.Points))
 	for i, p := range req.Points {
 		cfgs[i] = pointConfig(p, req)
 	}
 	runs, ok, failed, err := runConfigsSharded(ctx, prof, cfgs, req.Points, req.Refs,
-		req.Arch.WordSize(), shards, eng, req.ContinueOnError, req.Hooks,
+		req.Arch.WordSize(), shards, req.Engine, req.ContinueOnError, req.Hooks,
 		telemetry.OrNop(req.Recorder))
 	if err != nil {
 		if ctx.Err() != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -547,23 +549,4 @@ func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shard
 		}
 	}
 	return out, pes
-}
-
-// firstError picks the error to report from per-workload results: the
-// lowest-index real failure, so the cancellations the first failure
-// triggered in sibling workloads never mask it.
-func firstError(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if first == nil {
-			first = err
-		}
-		if !errors.Is(err, context.Canceled) {
-			return err
-		}
-	}
-	return first
 }

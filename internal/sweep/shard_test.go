@@ -10,23 +10,32 @@ import (
 	"testing"
 
 	"subcache/internal/cache"
+	"subcache/internal/metrics"
 	"subcache/internal/synth"
+	"subcache/internal/trace"
 )
 
 // TestShardedDifferential: the chunk-broadcast executor must reproduce
-// the materialised baselines bit for bit -- every run and every summary
-// -- for both engines at every shard count, because sharding partitions
-// configurations, never the trace.
+// per-(workload, point) RunOne simulation bit for bit -- every run and
+// every summary -- for every engine at every shard count, because
+// sharding partitions configurations, never the trace.  RunOne streams
+// cache.Run straight from the generator and shares no executor code,
+// so the baseline is independent of the path under test.
 func TestShardedDifferential(t *testing.T) {
 	pts := Grid([]int{64, 256}, 2)
 	base := Request{Arch: synth.PDP11, Points: pts, Refs: 20000}
-	workloads := len(synth.Workloads(synth.PDP11))
+	profiles := synth.Workloads(synth.PDP11)
+	workloads := len(profiles)
 
-	baseline := base
-	baseline.Engine = Reference // Shards 0: the legacy per-point path
-	want, err := Run(baseline)
-	if err != nil {
-		t.Fatal(err)
+	wantRuns := make(map[Point][]metrics.Run, len(pts))
+	for _, p := range pts {
+		for _, prof := range profiles {
+			run, err := RunOne(prof, pointConfig(p, base), base.Refs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRuns[p] = append(wantRuns[p], run)
+		}
 	}
 
 	cases := []struct {
@@ -35,16 +44,18 @@ func TestShardedDifferential(t *testing.T) {
 		shards int
 		passes int
 	}{
+		{"reference/auto", Reference, 0, len(pts) * workloads},
 		{"reference/shards=1", Reference, 1, len(pts) * workloads},
 		{"reference/shards=2", Reference, 2, len(pts) * workloads},
 		{"reference/shards=3", Reference, 3, len(pts) * workloads},
 		{"reference/shards=ncpu", Reference, runtime.NumCPU(), len(pts) * workloads},
-		{"multipass/materialised", MultiPass, -1, workloads},
 		{"multipass/auto", MultiPass, 0, workloads},
 		{"multipass/shards=1", MultiPass, 1, workloads},
 		{"multipass/shards=2", MultiPass, 2, workloads},
 		{"multipass/shards=3", MultiPass, 3, workloads},
 		{"multipass/shards=ncpu", MultiPass, runtime.NumCPU(), workloads},
+		{"stackdist/shards=1", StackDist, 1, workloads},
+		{"stackdist/shards=ncpu", StackDist, runtime.NumCPU(), workloads},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -59,11 +70,11 @@ func TestShardedDifferential(t *testing.T) {
 				t.Errorf("TracePasses = %d, want %d", got.TracePasses, tc.passes)
 			}
 			for _, p := range pts {
-				if !reflect.DeepEqual(got.Runs[p], want.Runs[p]) {
-					t.Fatalf("%v: runs differ from materialised reference\n got:  %v\n want: %v",
-						p, got.Runs[p], want.Runs[p])
+				if !reflect.DeepEqual(got.Runs[p], wantRuns[p]) {
+					t.Fatalf("%v: runs differ from per-point RunOne\n got:  %v\n want: %v",
+						p, got.Runs[p], wantRuns[p])
 				}
-				if got.Summaries[p] != want.Summaries[p] {
+				if got.Summaries[p] != metrics.Average(wantRuns[p]) {
 					t.Errorf("%v: summaries differ", p)
 				}
 			}
@@ -210,10 +221,12 @@ func TestRunContextCancelled(t *testing.T) {
 		engine Engine
 		shards int
 	}{
-		{"reference/legacy", Reference, 0},
+		{"reference/auto", Reference, 0},
 		{"reference/sharded", Reference, 2},
-		{"multipass/materialised", MultiPass, -1},
+		{"multipass/one-pass", MultiPass, 1},
 		{"multipass/sharded", MultiPass, 2},
+		{"stackdist/one-pass", StackDist, 1},
+		{"stackdist/sharded", StackDist, 2},
 	} {
 		res, err := RunContext(ctx, Request{Arch: synth.PDP11, Points: pts,
 			Refs: 5000, Engine: tc.engine, Shards: tc.shards})
@@ -227,10 +240,11 @@ func TestRunContextCancelled(t *testing.T) {
 }
 
 // TestShardedErrorPropagation: a configuration error inside one shard
-// surfaces from the sweep, named after its point, for both engines.
+// surfaces from the sweep, named after its point, for every engine --
+// never masked by the cancellations it triggers in sibling workloads.
 func TestShardedErrorPropagation(t *testing.T) {
 	pts := []Point{{Net: 64, Block: 8, Sub: 2}, {Net: 64, Block: 8, Sub: 4}}
-	for _, eng := range []Engine{Reference, MultiPass} {
+	for _, eng := range []Engine{Reference, MultiPass, StackDist} {
 		_, err := Run(Request{
 			Arch: synth.PDP11, Points: pts, Refs: 1000, Engine: eng, Shards: 2,
 			Override: func(c *cache.Config) { c.Assoc = 999 },
@@ -245,12 +259,13 @@ func TestShardedErrorPropagation(t *testing.T) {
 	}
 }
 
-// TestReferenceShortCircuit: after the first failing point the legacy
-// reference path must stop deriving configurations for the remaining
-// points instead of replaying the trace for each; the Override
-// invocation count proves the workers were short-circuited.
+// TestReferenceShortCircuit: configurations are derived and their
+// units built before the trace source exists, so under fail-fast a
+// construction failure aborts the workload without generating a single
+// reference -- the WrapSource hook, called once per streamed workload,
+// must never run.
 func TestReferenceShortCircuit(t *testing.T) {
-	var calls atomic.Int32
+	var wraps atomic.Int32
 	pts := make([]Point, 40)
 	for i := range pts {
 		pts[i] = Point{Net: 64, Block: 8, Sub: 2}
@@ -258,16 +273,17 @@ func TestReferenceShortCircuit(t *testing.T) {
 	_, err := Run(Request{
 		Arch: synth.PDP11, Points: pts, Refs: 2000,
 		Workloads: []string{"ED"}, Engine: Reference, Parallelism: 1,
-		Override: func(c *cache.Config) {
-			calls.Add(1)
-			c.Assoc = 999
-		},
+		Override: func(c *cache.Config) { c.Assoc = 999 },
+		Hooks: &Hooks{WrapSource: func(_ string, src trace.Source) trace.Source {
+			wraps.Add(1)
+			return src
+		}},
 	})
 	if err == nil {
 		t.Fatal("sweep accepted an invalid config")
 	}
-	if n := calls.Load(); n >= int32(len(pts)) {
-		t.Errorf("first error did not short-circuit: override ran %d times for %d points", n, len(pts))
+	if n := wraps.Load(); n != 0 {
+		t.Errorf("first error did not short-circuit: the trace source was built %d times", n)
 	}
 }
 
@@ -289,27 +305,6 @@ func TestShardedParallelismInvariance(t *testing.T) {
 			if !reflect.DeepEqual(results[0].Runs[p], results[i].Runs[p]) {
 				t.Errorf("parallelism/shard budget changed results at %v", p)
 			}
-		}
-	}
-}
-
-// TestFirstErrorPrefersRealFailures: cancellations triggered by a
-// sibling's failure must never mask the failure itself, regardless of
-// which workload index recorded it first.
-func TestFirstErrorPrefersRealFailures(t *testing.T) {
-	boom := errors.New("boom")
-	for _, tc := range []struct {
-		name string
-		errs []error
-		want error
-	}{
-		{"nil", []error{nil, nil}, nil},
-		{"real first", []error{boom, context.Canceled}, boom},
-		{"canceled first", []error{context.Canceled, nil, boom}, boom},
-		{"only canceled", []error{nil, context.Canceled}, context.Canceled},
-	} {
-		if got := firstError(tc.errs); !errors.Is(got, tc.want) && got != tc.want {
-			t.Errorf("%s: firstError = %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }

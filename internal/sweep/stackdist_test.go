@@ -102,7 +102,7 @@ func TestStackDistFallback(t *testing.T) {
 func TestStackDistShardInvariance(t *testing.T) {
 	pts := Grid([]int{64, 256}, 2)
 	var base *Result
-	for _, shards := range []int{-1, 1, 2, 3, 8} {
+	for _, shards := range []int{0, 1, 2, 3, 8} {
 		res, err := Run(Request{Arch: synth.PDP11, Points: pts, Refs: 10000,
 			Workloads: []string{"ED", "ROFF"}, Engine: StackDist, Shards: shards})
 		if err != nil {

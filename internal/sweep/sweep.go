@@ -16,12 +16,10 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
@@ -37,7 +35,9 @@ type Engine int
 
 const (
 	// Reference replays the trace through one cache.Cache per point:
-	// one trace pass per (workload, point) pair, parallel across points.
+	// one trace pass per (workload, point) pair, the independent oracle
+	// the single-pass engines are checked against.  Its points are
+	// spread round-robin across the shard workers.
 	Reference Engine = iota
 	// MultiPass makes a single pass over each workload's trace, feeding
 	// every point simultaneously: points whose tag dynamics are
@@ -169,6 +169,11 @@ func (p Point) Config(arch synth.Arch) cache.Config {
 	}
 }
 
+// MaxShards bounds Request.Shards.  The planners size their shard
+// tables from the requested count, so an unchecked value from an
+// untrusted caller could exhaust memory before any simulation starts.
+const MaxShards = 1024
+
 // Request describes one sweep.
 type Request struct {
 	// Arch selects the workload suite and word size.
@@ -190,16 +195,14 @@ type Request struct {
 	// per-point Reference engine.  MultiPass produces bit-identical
 	// results in far fewer trace passes (see Result.TracePasses).
 	Engine Engine
-	// Shards selects intra-workload parallelism.  With Shards >= 1 each
-	// workload's families and fallback caches are partitioned across
-	// that many shard workers, all fed from a single chunk-broadcast
-	// trace generation (every cache still sees the complete ordered
-	// stream, so results stay bit-identical; the trace is streamed, not
-	// materialised).  0, the default, picks a machine-appropriate shard
-	// count for the MultiPass engine and keeps the Reference engine on
-	// its materialised per-point path, preserving it as an independent
-	// baseline.  Negative forces the materialised-trace paths for both
-	// engines (the differential baselines).
+	// Shards selects intra-workload parallelism: each workload's
+	// simulation units are partitioned across that many shard workers,
+	// all fed from a single chunk-broadcast trace generation.  Every
+	// cache still sees the complete ordered stream, so results are
+	// bit-identical at every shard count, and the trace is streamed,
+	// never materialised.  0, the default, picks a machine-appropriate
+	// count (cores divided by concurrent workloads, rounded up); 1 is
+	// the one-pass case.  Values outside [0, MaxShards] are rejected.
 	Shards int
 	// ContinueOnError selects the degraded-completion failure policy:
 	// instead of the first failing point aborting the sweep
@@ -311,6 +314,14 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	if len(req.Points) == 0 {
 		return nil, fmt.Errorf("sweep: no points requested")
 	}
+	if req.Shards < 0 || req.Shards > MaxShards {
+		return nil, fmt.Errorf("sweep: shard count %d out of range [0, %d]", req.Shards, MaxShards)
+	}
+	switch req.Engine {
+	case Reference, MultiPass, StackDist:
+	default:
+		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
+	}
 	profiles, err := selectWorkloads(req.Arch, req.Workloads)
 	if err != nil {
 		return nil, err
@@ -349,54 +360,24 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-
-	// Pick the per-workload executor and the cross-workload
-	// parallelism for the requested engine/shard strategy.
-	var fn func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError)
-	outer := par
+	// Every engine runs on the chunk-broadcast executor (shard.go);
+	// the engine only chooses how configurations are planned into units.
+	shards := req.Shards
+	if shards == 0 {
+		// Auto: spread the cores over the suite's concurrent workloads,
+		// rounding up so a many-core box stays busy even when the suite
+		// is small.
+		shards = (par + len(profiles) - 1) / len(profiles)
+	}
+	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
+		return simulateSharded(ctx, prof, req, shards)
+	}
 	passesPerWorkload := 1
-	switch req.Engine {
-	case Reference:
+	if req.Engine == Reference {
 		passesPerWorkload = len(req.Points)
-		if req.Shards >= 1 {
-			// Sharded streaming executor, one reference cache per point.
-			outer, fn = shardedExecutor(req, profiles, par, Reference)
-		} else {
-			// Materialised per-point path: workloads sequential, points
-			// parallel within each (the legacy baseline scheduling).
-			outer = 1
-			fn = func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-				rec := telemetry.OrNop(req.Recorder)
-				parent := telemetry.SpanFromContext(ctx)
-				tsp := telemetry.StartSpan(rec, telemetry.Span{Name: "trace-read", Parent: parent, Workload: prof.Name})
-				accesses, err := wordTrace(prof, req)
-				if err != nil {
-					tsp.EndErr(err.Error())
-					return nil, workloadError(prof.Name, -1, err)
-				}
-				tsp.End()
-				ssp := telemetry.StartSpan(rec, telemetry.Span{Name: "simulate", Parent: parent, Workload: prof.Name})
-				defer ssp.End()
-				return simulatePoints(ctx, prof.Name, accesses, req, par)
-			}
-		}
-	case MultiPass, StackDist:
-		eng := req.Engine
-		if req.Shards < 0 {
-			if outer > len(profiles) {
-				outer = len(profiles)
-			}
-			fn = func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-				return simulateOnePass(ctx, prof, req, eng)
-			}
-		} else {
-			outer, fn = shardedExecutor(req, profiles, par, eng)
-		}
-	default:
-		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
 	}
 
-	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, outer, fn)
+	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, par/shards, fn)
 	if err != nil {
 		return nil, err
 	}
@@ -424,35 +405,9 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// shardedExecutor returns the outer (cross-workload) parallelism and
-// the per-workload function for the chunk-broadcast executor, for any
-// engine (eng selects how configurations are planned into units).
-func shardedExecutor(req Request, profiles []synth.Profile, par int, eng Engine) (int, func(context.Context, synth.Profile) (map[Point]metrics.Run, []*PointError)) {
-	shards := req.Shards
-	if shards == 0 {
-		// Auto: spread the cores over the suite's concurrent workloads,
-		// rounding up so a many-core box stays busy even when the suite
-		// is small.
-		shards = (par + len(profiles) - 1) / len(profiles)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	outer := par / shards
-	if outer < 1 {
-		outer = 1
-	}
-	if outer > len(profiles) {
-		outer = len(profiles)
-	}
-	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-		return simulateSharded(ctx, prof, req, shards, eng)
-	}
-	return outer, fn
-}
-
-// runWorkloads executes fn once per profile with bounded parallelism,
-// applying the sweep's failure policy and checkpointing:
+// runWorkloads executes fn once per profile, at most outer (clamped to
+// [1, len(profiles)]) at a time, applying the sweep's failure policy
+// and checkpointing:
 //
 //   - fail-fast (default): the first workload reporting an error
 //     cancels its siblings, and the first error in profile order is
@@ -602,34 +557,11 @@ func pointConfig(p Point, req Request) cache.Config {
 	return cfg
 }
 
-// buildUnits groups the request's points into simulation units for the
-// materialised single-pass path.  A unit whose construction fails is
-// returned as a failure instead of a unit; under fail-fast the caller
-// aborts on the first one.
-func buildUnits(req Request, eng Engine) (units []*simUnit, failed []unitFailure) {
-	cfgs := make([]cache.Config, len(req.Points))
-	for i, p := range req.Points {
-		cfgs[i] = pointConfig(p, req)
-	}
-	lists, _, failed := shardUnitLists(eng, cfgs, req.Points, 1, true)
-	for _, us := range lists {
-		units = append(units, us...)
-	}
-	return units, failed
-}
-
 // shardUnitLists realises an engine's plan over cfgs as per-shard unit
-// lists plus the planner's per-shard cost estimates.  materialised
-// attributes construction failures to shard -1 (the unsharded paths);
-// otherwise to the owning shard index.  Lists may number fewer than
-// shards when the planner cannot fill them all.
-func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int, materialised bool) (lists [][]*simUnit, costs []int, failed []unitFailure) {
-	shardAt := func(si int) int {
-		if materialised {
-			return -1
-		}
-		return si
-	}
+// lists plus the planner's per-shard cost estimates, attributing
+// construction failures to the owning shard index.  Lists may number
+// fewer than shards when the planner cannot fill them all.
+func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed []unitFailure) {
 	switch eng {
 	case StackDist:
 		// Stack groups fan out across shards by set partitioning;
@@ -663,13 +595,13 @@ func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int,
 		costs = make([]int, n)
 		for si := 0; si < n; si++ {
 			if si < len(splans) {
-				us, fs := planStackUnits(splans[si], cfgs, points, shardAt(si))
+				us, fs := planStackUnits(splans[si], cfgs, points, si)
 				lists[si] = append(lists[si], us...)
 				failed = append(failed, fs...)
 				costs[si] += splans[si].Cost()
 			}
 			if si < len(mplans) {
-				us, fs := planUnits(mplans[si], cfgs, points, shardAt(si))
+				us, fs := planUnits(mplans[si], cfgs, points, si)
 				lists[si] = append(lists[si], us...)
 				failed = append(failed, fs...)
 				costs[si] += mplans[si].Cost()
@@ -680,7 +612,7 @@ func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int,
 		lists = make([][]*simUnit, len(plans))
 		costs = make([]int, len(plans))
 		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, shardAt(si))
+			us, fs := planUnits(plan, cfgs, points, si)
 			lists[si] = us
 			failed = append(failed, fs...)
 			costs[si] = plan.Cost()
@@ -690,7 +622,7 @@ func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int,
 		lists = make([][]*simUnit, len(plans))
 		costs = make([]int, len(plans))
 		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, shardAt(si))
+			us, fs := planUnits(plan, cfgs, points, si)
 			lists[si] = us
 			failed = append(failed, fs...)
 			costs[si] = plan.Cost()
@@ -757,116 +689,6 @@ func unitPoints(points []Point, idxs []int) []Point {
 	return pts
 }
 
-// simulateOnePass evaluates every requested point over one workload in
-// a single iteration of its materialised word trace, planned by eng:
-// stack-distance engines (StackDist), shared-tag-engine families
-// (MultiPass, and StackDist's fallback for refused configurations), and
-// individual reference caches for the rest, all fed from the same loop.
-// A panicking unit is retired with its points attributed; surviving
-// units consume the complete trace and stay bit-identical.
-func simulateOnePass(ctx context.Context, prof synth.Profile, req Request, eng Engine) (map[Point]metrics.Run, []*PointError) {
-	rec := telemetry.OrNop(req.Recorder)
-	parent := telemetry.SpanFromContext(ctx)
-	tsp := telemetry.StartSpan(rec, telemetry.Span{Name: "trace-read", Parent: parent, Workload: prof.Name})
-	accesses, err := wordTrace(prof, req)
-	if err != nil {
-		tsp.EndErr(err.Error())
-		return nil, workloadError(prof.Name, -1, err)
-	}
-	tsp.End()
-
-	units, failed := buildUnits(req, eng)
-	if len(failed) > 0 && !req.ContinueOnError {
-		return nil, pointErrors(prof.Name, req.Points, failed[:1])
-	}
-
-	enabled := rec.Enabled()
-	var simStart time.Time
-	var simRefs uint64
-	if enabled {
-		simStart = time.Now()
-	}
-	ssp := telemetry.StartSpan(rec, telemetry.Span{Name: "simulate", Parent: parent, Workload: prof.Name})
-	defer ssp.End()
-
-	// The single pass: every live unit sees each access once, fed in
-	// trace.ChunkRefs-sized batches.  A cancelled sweep (sibling
-	// failure or caller abort) is noticed at every chunk boundary.
-	live := len(units)
-	chunk := 0
-	packs := newPackSet(units)
-	defer packs.release()
-	for off := 0; off < len(accesses) && live > 0; off += trace.ChunkRefs {
-		if ctx.Err() != nil {
-			return nil, pointErrors(prof.Name, req.Points, failed)
-		}
-		end := off + trace.ChunkRefs
-		if end > len(accesses) {
-			end = len(accesses)
-		}
-		batch := accesses[off:end]
-		packs.next()
-		for _, u := range units {
-			if u.dead {
-				continue
-			}
-			if uerr := u.accessBatch(batch, packs.forUnit(u, batch), req.Hooks, prof.Name, -1, chunk); uerr != nil {
-				u.dead = true
-				live--
-				failed = append(failed, unitFailure{idxs: u.idxs, shard: -1, gid: u.gid, cause: uerr})
-				if !req.ContinueOnError {
-					return nil, pointErrors(prof.Name, req.Points, failed[len(failed)-1:])
-				}
-				continue
-			}
-			simRefs += uint64(len(batch))
-		}
-		chunk++
-	}
-	if enabled {
-		rec.Observe(telemetry.StageSimulate, time.Since(simStart))
-		rec.Add(telemetry.RefsSimulated, simRefs)
-	}
-	ssp.End()
-
-	var flushStart time.Time
-	var families, stacks uint64
-	if enabled {
-		flushStart = time.Now()
-	}
-	fsp := telemetry.StartSpan(rec, telemetry.Span{Name: "flush", Parent: parent, Workload: prof.Name})
-	defer fsp.End()
-	out := make(map[Point]metrics.Run, len(req.Points))
-	runs := make([]metrics.Run, len(req.Points))
-	for _, u := range units {
-		if u.dead {
-			continue
-		}
-		if uerr := u.collect(prof.Name, runs); uerr != nil {
-			failed = append(failed, unitFailure{idxs: u.idxs, shard: -1, gid: u.gid, cause: uerr})
-			if !req.ContinueOnError {
-				return nil, pointErrors(prof.Name, req.Points, failed[len(failed)-1:])
-			}
-			continue
-		}
-		switch {
-		case u.fam != nil:
-			families++
-		case u.stack != nil:
-			stacks++
-		}
-		for _, k := range u.idxs {
-			out[req.Points[k]] = runs[k]
-		}
-	}
-	if enabled {
-		rec.Observe(telemetry.StageFlush, time.Since(flushStart))
-		rec.Add(telemetry.FamiliesFlushed, families)
-		rec.Add(telemetry.StackUnitsFlushed, stacks)
-	}
-	return out, pointErrors(prof.Name, req.Points, failed)
-}
-
 // selectWorkloads resolves the request's workload list.
 func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 	all := synth.Workloads(arch)
@@ -886,162 +708,6 @@ func selectWorkloads(arch synth.Arch, names []string) ([]synth.Profile, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// wordTrace materialises a profile's trace, pre-split to word accesses,
-// so every configuration replays identical input.  The request's
-// WrapSource hook (if any) wraps the word stream, and a panicking
-// source is recovered into an error.
-func wordTrace(prof synth.Profile, req Request) (refs []trace.Ref, err error) {
-	src, err := synth.NewWordSource(prof, req.Refs, req.Arch.WordSize())
-	if err != nil {
-		return nil, err
-	}
-	rec := telemetry.OrNop(req.Recorder)
-	var readStart time.Time
-	if rec.Enabled() {
-		readStart = time.Now()
-	}
-	wrapped := req.Hooks.wrapSource(prof.Name, src)
-	ferr := safeCall(func() {
-		buf := make([]trace.Ref, trace.ChunkRefs)
-		for {
-			n, rerr := trace.ReadChunk(wrapped, buf)
-			refs = append(refs, buf[:n]...)
-			if rerr != nil {
-				if rerr != io.EOF {
-					err = rerr
-				}
-				return
-			}
-		}
-	})
-	if ferr != nil {
-		return nil, ferr
-	}
-	if err != nil {
-		return nil, err
-	}
-	if rec.Enabled() {
-		rec.Observe(telemetry.StageTraceRead, time.Since(readStart))
-		rec.Add(telemetry.RefsRead, uint64(len(refs)))
-		if bc, ok := wrapped.(trace.ByteCounter); ok {
-			rec.Add(telemetry.BytesRead, bc.Bytes())
-		}
-	}
-	return refs, nil
-}
-
-// simulatePoints runs every point over one workload's accesses, with
-// bounded parallelism: the Reference engine's materialised path.
-// Under fail-fast the first error cancels the remaining work (workers
-// drain the job queue without simulating and abort an in-flight replay
-// at the next chunk boundary); with ContinueOnError failed points are
-// reported and the rest complete.  Worker panics are recovered and
-// attributed to their exact point.
-func simulatePoints(ctx context.Context, name string, accesses []trace.Ref, req Request, par int) (map[Point]metrics.Run, []*PointError) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type job struct {
-		point Point
-		run   metrics.Run
-		err   error
-	}
-	jobs := make(chan Point)
-	results := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range jobs {
-				if ctx.Err() != nil {
-					continue
-				}
-				run, completed, jerr := simulateOnePoint(ctx, name, accesses, p, req)
-				if jerr != nil {
-					results <- job{point: p, err: jerr}
-					continue
-				}
-				if completed {
-					results <- job{point: p, run: run}
-				}
-			}
-		}()
-	}
-	go func() {
-		for _, p := range req.Points {
-			jobs <- p
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	out := make(map[Point]metrics.Run, len(req.Points))
-	var failed []*PointError
-	for j := range results {
-		if j.err != nil {
-			failed = append(failed, &PointError{Workload: name, Point: j.point, Shard: -1, Cause: j.err})
-			if !req.ContinueOnError {
-				cancel()
-			}
-			continue
-		}
-		out[j.point] = j.run
-	}
-	// Completion order is scheduling-dependent; report errors in the
-	// deterministic Table 7 point order.
-	sort.Slice(failed, func(i, j int) bool {
-		return pointLess(failed[i].Point, failed[j].Point)
-	})
-	return out, failed
-}
-
-// simulateOnePoint replays one workload's accesses through one point's
-// cache inside a recovery boundary.  completed is false when the
-// replay was abandoned at a chunk boundary due to cancellation.
-func simulateOnePoint(ctx context.Context, name string, accesses []trace.Ref, p Point, req Request) (run metrics.Run, completed bool, err error) {
-	rec := telemetry.OrNop(req.Recorder)
-	var simStart time.Time
-	if rec.Enabled() {
-		simStart = time.Now()
-	}
-	ferr := safeCall(func() {
-		cfg := pointConfig(p, req)
-		c, cerr := cache.New(cfg)
-		if cerr != nil {
-			err = cerr
-			return
-		}
-		pts := []Point{p}
-		chunk := 0
-		for off := 0; off < len(accesses); off += trace.ChunkRefs {
-			if ctx.Err() != nil {
-				return
-			}
-			if req.Hooks != nil && req.Hooks.BeforeUnit != nil {
-				req.Hooks.BeforeUnit(name, -1, pts, chunk)
-			}
-			end := off + trace.ChunkRefs
-			if end > len(accesses) {
-				end = len(accesses)
-			}
-			c.AccessBatch(accesses[off:end])
-			chunk++
-		}
-		c.FlushUsage()
-		run = metrics.NewRun(name, cfg, c.Stats())
-		completed = true
-	})
-	if completed && rec.Enabled() {
-		rec.Observe(telemetry.StageSimulate, time.Since(simStart))
-		rec.Add(telemetry.RefsSimulated, uint64(len(accesses)))
-	}
-	if ferr != nil {
-		return metrics.Run{}, false, ferr
-	}
-	return run, completed, err
 }
 
 // RunOne simulates a single workload through a single configuration:

@@ -150,6 +150,15 @@ func TestRunValidatesRequest(t *testing.T) {
 	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100}); err == nil {
 		t.Error("accepted empty points")
 	}
+	pts := []Point{{Net: 64, Block: 8, Sub: 2}}
+	for _, shards := range []int{-1, MaxShards + 1} {
+		if _, err := Run(Request{Arch: synth.PDP11, Refs: 100, Points: pts, Shards: shards}); err == nil {
+			t.Errorf("accepted shards %d", shards)
+		}
+	}
+	if _, err := Run(Request{Arch: synth.PDP11, Refs: 100, Points: pts, Engine: Engine(99)}); err == nil {
+		t.Error("accepted an unknown engine")
+	}
 }
 
 func TestRunOverride(t *testing.T) {

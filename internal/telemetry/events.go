@@ -78,10 +78,11 @@ type Event struct {
 type RunStart struct {
 	// Arch names the architecture suite being swept.
 	Arch string `json:"arch"`
-	// Engine is the simulation strategy ("multipass" or "reference").
+	// Engine is the simulation strategy ("reference", "multipass" or
+	// "stackdist").
 	Engine string `json:"engine"`
 	// Shards is the requested intra-workload shard count (0 = auto,
-	// <0 = materialised baseline).
+	// otherwise 1 to sweep.MaxShards).
 	Shards int `json:"shards"`
 	// Points is the number of grid points per workload.
 	Points int `json:"points"`
@@ -130,8 +131,9 @@ type ErrorAttributed struct {
 	// Point is the lost grid point, empty for a workload-scope
 	// failure (which loses every point of the workload).
 	Point string `json:"point,omitempty"`
-	// Shard is the shard worker that hosted the failure, -1 when the
-	// failing path was not sharded.
+	// Shard is the shard worker that hosted the failure, -1 for a
+	// failure outside every shard worker (a workload-scope trace
+	// failure or a checkpoint write).
 	Shard int `json:"shard"`
 	// Cause is the error text; Panic marks a recovered panic.
 	Cause string `json:"cause"`
