@@ -234,12 +234,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the counter snapshot in Prometheus text
-// exposition format (version 0.0.4): counters, gauges, per-stage and
-// service-level latency histograms, and a sweepd_build_info series
-// carrying the link-time version stamp.
+// exposition format (version 0.0.4): counters, gauges (the queue depth
+// among them), per-stage and service-level latency histograms, and a
+// sweepd_build_info series carrying the link-time version stamp.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
-	draining, queued, recovering := s.draining, s.queued, s.recovering
+	draining, recovering := s.draining, s.recovering
 	s.mu.Unlock()
 	entries, bytes := s.store.stats()
 	snap := s.rec.Snapshot()
@@ -250,7 +250,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	extra := map[string]float64{
 		"cache_entries":   float64(entries),
 		"cache_bytes":     float64(bytes),
-		"queued_jobs":     float64(queued),
 		"recovering_jobs": float64(recovering),
 		"draining":        drainVal,
 		"workers":         float64(s.opts.Workers),

@@ -50,15 +50,24 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 		"# TYPE sweepd_job_execution_seconds histogram",
 		"sweepd_requests_admitted_total 1",
 		"sweepd_workers 2",
+		"\nsweepd_queue_depth 0\n",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// Each fact is exported once: stage time only as the stage
+	// histograms, the queue depth only as its gauge.
+	for _, dup := range []string{"stage_seconds_total", "stage_observations_total", "checkpoint_records_total", "queued_jobs"} {
+		if strings.Contains(string(body), dup) {
+			t.Errorf("/metrics exports duplicate %q", dup)
+		}
+	}
 }
 
 // TestServiceStatsCarriesVersionAndHists: /v1/stats reports the build
-// version and the histogram snapshots the load harness consumes.
+// version and the histogram snapshots the load harness consumes, with
+// no second copy of stage time.
 func TestServiceStatsCarriesVersionAndHists(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	if code, resp := post(t, ts, smallRequest(4000), true); code != http.StatusOK {
@@ -68,13 +77,22 @@ func TestServiceStatsCarriesVersionAndHists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var stats struct {
 		Version   string              `json:"version"`
 		Telemetry *telemetry.Snapshot `json:"telemetry"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.Unmarshal(body, &stats); err != nil {
 		t.Fatal(err)
+	}
+	for _, dup := range []string{`"stages_ms"`, `"stages_n"`} {
+		if strings.Contains(string(body), dup) {
+			t.Errorf("/v1/stats carries %s beside the stage histograms", dup)
+		}
 	}
 	if stats.Version == "" {
 		t.Error("/v1/stats missing version")

@@ -176,7 +176,6 @@ func (j *Journal) Record(fp, workload string, points []Point, runs map[Point]met
 		now := time.Now()
 		j.rec.Observe(telemetry.StageCheckpoint, now.Sub(t0))
 		j.rec.Add(telemetry.CheckpointFsyncNanos, uint64(now.Sub(w)))
-		j.rec.Add(telemetry.CheckpointRecords, 1)
 	}
 	j.done[journalKey(fp, workload)] = e
 	return nil

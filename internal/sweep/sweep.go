@@ -172,7 +172,9 @@ func (p Point) Config(arch synth.Arch) cache.Config {
 // MaxShards bounds Request.Shards.  The planners size their shard
 // tables from the requested count, so an unchecked value from an
 // untrusted caller could exhaust memory before any simulation starts.
-const MaxShards = 1024
+// It is the telemetry recorder's shard-table size, so every shard
+// worker a sweep can run has its own telemetry cell.
+const MaxShards = telemetry.MaxShards
 
 // Request describes one sweep.
 type Request struct {
@@ -369,15 +371,12 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		// is small.
 		shards = (par + len(profiles) - 1) / len(profiles)
 	}
-	fn := func(ctx context.Context, prof synth.Profile) (map[Point]metrics.Run, []*PointError) {
-		return simulateSharded(ctx, prof, req, shards)
-	}
 	passesPerWorkload := 1
 	if req.Engine == Reference {
 		passesPerWorkload = len(req.Points)
 	}
 
-	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, par/shards, fn)
+	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, shards, par/shards)
 	if err != nil {
 		return nil, err
 	}
@@ -405,9 +404,9 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// runWorkloads executes fn once per profile, at most outer (clamped to
-// [1, len(profiles)]) at a time, applying the sweep's failure policy
-// and checkpointing:
+// runWorkloads runs simulateSharded at the given shard count once per
+// profile, at most outer (clamped to [1, len(profiles)]) at a time,
+// applying the sweep's failure policy and checkpointing:
 //
 //   - fail-fast (default): the first workload reporting an error
 //     cancels its siblings, and the first error in profile order is
@@ -418,17 +417,17 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 //     without simulation, and every cleanly completed workload is
 //     recorded the moment it finishes.
 //
-// fn must return either complete runs for every point it does not
-// report an error for, or nil runs plus workload-scope errors -- never
-// half-counted partial counters.  A workload aborted by cancellation
-// returns no runs and no errors (it is a casualty, not a cause).
+// simulateSharded returns either complete runs for every point it
+// does not report an error for, or nil runs plus workload-scope errors
+// -- never half-counted partial counters.  A workload aborted by
+// cancellation returns no runs and no errors (it is a casualty, not a
+// cause).
 func runWorkloads(
 	ctx context.Context,
 	profiles []synth.Profile,
 	req Request,
 	ck *ckState,
-	outer int,
-	fn func(context.Context, synth.Profile) (map[Point]metrics.Run, []*PointError),
+	shards, outer int,
 ) (perProf []map[Point]metrics.Run, perrs [][]*PointError, attempted []bool, resumed int, err error) {
 	parent := ctx
 	ctx, cancel := context.WithCancel(ctx)
@@ -480,7 +479,7 @@ func runWorkloads(
 					Name: "workload", Workload: prof.Name,
 					Parent: telemetry.SpanFromContext(ctx),
 				})
-				runs, pes := fn(telemetry.ContextWithSpan(ctx, sp.ID()), prof)
+				runs, pes := simulateSharded(telemetry.ContextWithSpan(ctx, sp.ID()), prof, req, shards)
 				rec.SetGauge(telemetry.ActiveWorkloads, active.Add(-1))
 				perProf[i] = runs
 				if runs != nil && len(pes) == 0 && ctx.Err() == nil {

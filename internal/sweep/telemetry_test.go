@@ -1,13 +1,17 @@
 package sweep
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"math"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"subcache/internal/cache"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -168,6 +172,15 @@ func TestTelemetryCountersDeterministic(t *testing.T) {
 	_ = res
 }
 
+// checkpointAppends is the number of checkpoint journal appends a
+// snapshot recorded: one stage_checkpoint observation each.
+func checkpointAppends(s *telemetry.Snapshot) uint64 {
+	if hs := s.Hists["stage_"+telemetry.StageCheckpoint.String()]; hs != nil {
+		return hs.Count
+	}
+	return 0
+}
+
 // TestTelemetryCheckpointCounters: the first run journals one record
 // per workload; a resumed run restores every pair, counting resumes
 // instead of completions and marking its point-done events.
@@ -191,8 +204,8 @@ func TestTelemetryCheckpointCounters(t *testing.T) {
 	}
 	rec1.Close()
 	s1 := rec1.Snapshot()
-	if got := s1.Counter(telemetry.CheckpointRecords); got != workloads {
-		t.Errorf("first run checkpoint_records = %d, want %d", got, workloads)
+	if got := checkpointAppends(s1); got != workloads {
+		t.Errorf("first run stage_checkpoint count = %d, want %d", got, workloads)
 	}
 	if s1.Counter(telemetry.CheckpointFsyncNanos) == 0 {
 		t.Error("first run recorded no fsync time")
@@ -218,9 +231,9 @@ func TestTelemetryCheckpointCounters(t *testing.T) {
 	if got := s2.Counter(telemetry.PointsResumed); got != planned {
 		t.Errorf("second run points_resumed = %d, want %d", got, planned)
 	}
-	if s2.Counter(telemetry.PointsCompleted) != 0 || s2.Counter(telemetry.CheckpointRecords) != 0 {
-		t.Errorf("second run completed/records = %d/%d, want 0/0",
-			s2.Counter(telemetry.PointsCompleted), s2.Counter(telemetry.CheckpointRecords))
+	if s2.Counter(telemetry.PointsCompleted) != 0 || checkpointAppends(s2) != 0 {
+		t.Errorf("second run completed/appends = %d/%d, want 0/0",
+			s2.Counter(telemetry.PointsCompleted), checkpointAppends(s2))
 	}
 	done := sink2.byType(telemetry.EventPointDone)
 	if len(done) != int(planned) {
@@ -277,5 +290,147 @@ func TestTelemetryBytesRead(t *testing.T) {
 	// The synthetic 4 bytes/ref makes the cross-check exact.
 	if got, want := s.Counter(telemetry.BytesRead), 4*s.Counter(telemetry.RefsRead); got != want {
 		t.Errorf("bytes_read = %d, want 4 x refs_read = %d", got, want)
+	}
+}
+
+// TestTelemetryStageInvariants holds a recorded, checkpointed sweep to
+// the one-record-per-fact rule: stage time lives only in the stage
+// histograms, so the shard busy times sum to the simulate histogram's
+// total, the checkpoint histogram counts exactly the journaled
+// workloads, and no serialised snapshot carries a second copy.
+func TestTelemetryStageInvariants(t *testing.T) {
+	var buf bytes.Buffer
+	rec := telemetry.NewRun(telemetry.Options{
+		Sink:        telemetry.NewJSONLSink(&buf),
+		OnHeartbeat: func(*telemetry.Snapshot) {},
+	})
+	req := telemetryRequest()
+	req.Checkpoint = filepath.Join(t.TempDir(), "sweep.ckpt")
+	req.Recorder = rec
+	if _, err := Run(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snap := rec.Snapshot()
+
+	sim := snap.Hists["stage_"+telemetry.StageSimulate.String()]
+	if sim == nil || len(snap.Shards) == 0 {
+		t.Fatalf("no simulate histogram or shard cells: %+v", snap)
+	}
+	var busyMS float64
+	for _, sh := range snap.Shards {
+		busyMS += sh.BusyMS
+	}
+	if diff := math.Abs(busyMS*1e6 - float64(sim.SumNanos)); diff > 1000 {
+		t.Errorf("shard busy sums to %.0f ns, stage_simulate sum_ns %d (off by %.0f ns)", busyMS*1e6, sim.SumNanos, diff)
+	}
+	if want := uint64(len(synth.Workloads(req.Arch))); checkpointAppends(snap) != want {
+		t.Errorf("stage_checkpoint count = %d, want %d journaled workloads", checkpointAppends(snap), want)
+	}
+	for st, ms := range snap.StagesMS {
+		if hs := snap.Hists["stage_"+st]; hs == nil || ms != float64(hs.SumNanos)/1e6 {
+			t.Errorf("StagesMS[%s] = %v, not its histogram's sum %+v", st, ms, hs)
+		}
+	}
+
+	// The heartbeat, run-end and manifest snapshots carry the stage
+	// histograms and nothing else about stage time.
+	noDuplicates := func(where string, raw json.RawMessage) {
+		t.Helper()
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &keys); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		for _, k := range []string{"stages_ms", "stages_n"} {
+			if _, ok := keys[k]; ok {
+				t.Errorf("%s snapshot carries %q", where, k)
+			}
+		}
+		if _, ok := keys["hists"]; !ok {
+			t.Errorf("%s snapshot has no hists", where)
+		}
+	}
+	var sawHeartbeat, sawRunEnd bool
+	sc := bufio.NewScanner(&buf)
+	sc.Buffer(nil, 1<<24)
+	for sc.Scan() {
+		var ev struct {
+			Type      string
+			Heartbeat *struct{ Snapshot json.RawMessage }
+			RunEnd    *struct{ Snapshot json.RawMessage } `json:"run_end"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Type {
+		case telemetry.EventHeartbeat:
+			sawHeartbeat = true
+			noDuplicates("heartbeat", ev.Heartbeat.Snapshot)
+		case telemetry.EventRunEnd:
+			sawRunEnd = true
+			noDuplicates("run-end", ev.RunEnd.Snapshot)
+		}
+	}
+	if !sawHeartbeat || !sawRunEnd {
+		t.Fatalf("stream lacks heartbeat (%v) or run-end (%v)", sawHeartbeat, sawRunEnd)
+	}
+	m := telemetry.NewManifest("test", "fp")
+	m.Telemetry = snap
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var manifest struct{ Telemetry json.RawMessage }
+	if err := json.Unmarshal(b, &manifest); err != nil {
+		t.Fatal(err)
+	}
+	noDuplicates("RUN.json", manifest.Telemetry)
+}
+
+// TestTelemetryShardCellPerWorker: a sweep at the widest shard count
+// gets one snapshot cell per shard worker, each holding only that
+// worker's references -- none folded into a shared overflow cell.
+func TestTelemetryShardCellPerWorker(t *testing.T) {
+	var pts []Point
+	for _, fetch := range []cache.Fetch{cache.DemandSubBlock, cache.LoadForward, cache.LoadForwardOptimized, cache.WholeBlock} {
+		for _, p := range Grid([]int{64, 128, 256, 512}, synth.PDP11.WordSize()) {
+			p.Fetch = fetch
+			pts = append(pts, p)
+		}
+	}
+	sink := &captureSink{}
+	rec := telemetry.NewRun(telemetry.Options{Sink: sink})
+	req := Request{
+		Arch:      synth.PDP11,
+		Points:    pts,
+		Refs:      2000,
+		Workloads: []string{synth.Workloads(synth.PDP11)[0].Name},
+		Engine:    Reference,
+		Shards:    MaxShards,
+		Recorder:  rec,
+	}
+	if _, err := Run(req); err != nil {
+		t.Fatal(err)
+	}
+	rec.Close()
+	snap := rec.Snapshot()
+
+	stats := sink.byType(telemetry.EventShardStat)
+	if len(stats) <= 256 {
+		t.Fatalf("only %d shard workers ran; the test needs more than 256", len(stats))
+	}
+	if len(snap.Shards) != len(stats) {
+		t.Errorf("snapshot holds %d shard cells for %d shard workers", len(snap.Shards), len(stats))
+	}
+	for _, ev := range stats {
+		st := ev.ShardStat
+		if st.Shard >= len(snap.Shards) {
+			continue
+		}
+		if got := snap.Shards[st.Shard].Refs; got > st.Refs {
+			t.Errorf("shard %d cell holds %d refs, above the worker's %d", st.Shard, got, st.Refs)
+		}
 	}
 }

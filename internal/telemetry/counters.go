@@ -2,10 +2,11 @@ package telemetry
 
 // The counter/gauge/stage catalogue.  Every identifier is a dense
 // index into a pre-sized atomic array, so an update is one atomic add
-// with no map lookups and no allocation.  Names are the stable wire
-// vocabulary: they appear in heartbeat snapshots and RUN.json, and
-// docs/OBSERVABILITY.md documents each one; add new entries at the end
-// of an enum and to its name table together.
+// with no map lookups and no allocation.  The indexes are internal and
+// never leave the process; the names are the stable wire vocabulary:
+// they appear in heartbeat snapshots, RUN.json and /metrics, and
+// docs/OBSERVABILITY.md documents each one.  Add or remove an entry in
+// its enum and its name table together; renaming one is a wire change.
 
 // Counter identifies one monotonic counter.
 type Counter int
@@ -28,11 +29,9 @@ const (
 	// FamiliesFlushed counts multipass families finalised by
 	// FlushUsage at the end of a pass.
 	FamiliesFlushed
-	// CheckpointRecords counts workload entries appended to the
-	// checkpoint journal.
-	CheckpointRecords
-	// CheckpointFsyncNanos accumulates the fsync latency of those
-	// appends; divide by CheckpointRecords for the mean.
+	// CheckpointFsyncNanos accumulates the fsync latency of checkpoint
+	// journal appends; divide by the stage_checkpoint histogram's count
+	// (one observation per append) for the mean.
 	CheckpointFsyncNanos
 	// PointsPlanned counts (workload, point) pairs a sweep set out to
 	// simulate, added at run-start.  The progress line's denominator.
@@ -97,7 +96,6 @@ var counterNames = [numCounters]string{
 	BytesRead:               "bytes_read",
 	ChunksBroadcast:         "chunks_broadcast",
 	FamiliesFlushed:         "families_flushed",
-	CheckpointRecords:       "checkpoint_records",
 	CheckpointFsyncNanos:    "checkpoint_fsync_nanos",
 	PointsPlanned:           "points_planned",
 	PointsCompleted:         "points_completed",
@@ -156,11 +154,12 @@ func (g Gauge) String() string {
 	return gaugeNames[g]
 }
 
-// Stage identifies one pipeline stage for monotonic wall-time
-// accumulation.  Stages overlap across goroutines (a sweep's shards
-// simulate while its producer reads), so stage times sum to more than
-// the wall clock on purpose: they answer "where do worker-seconds go",
-// not "what fraction of the run elapsed here".
+// Stage identifies one pipeline stage whose durations are recorded in
+// a latency histogram (snapshot key "stage_<name>").  Stages overlap
+// across goroutines (a sweep's shards simulate while its producer
+// reads), so stage times sum to more than the wall clock on purpose:
+// they answer "where do worker-seconds go", not "what fraction of the
+// run elapsed here".
 type Stage int
 
 const (
@@ -203,22 +202,23 @@ type ShardSnap struct {
 }
 
 // Snapshot is a consistent-enough copy of a recorder's state: counters
-// and gauges by wire name, stage wall-times in milliseconds with their
-// observation counts (mean stage latency = stages_ms[s]/stages_n[s]),
-// latency histograms, and per-shard aggregates.  Individual values are
-// read atomically; cross-counter consistency is not guaranteed while
-// workers run, which is fine for heartbeats and exact once the run has
-// quiesced.
+// and gauges by wire name, latency histograms, and per-shard
+// aggregates.  Individual values are read atomically; cross-counter
+// consistency is not guaranteed while workers run, which is fine for
+// heartbeats and exact once the run has quiesced.
 type Snapshot struct {
-	Counters map[string]uint64  `json:"counters"`
-	Gauges   map[string]int64   `json:"gauges,omitempty"`
-	StagesMS map[string]float64 `json:"stages_ms,omitempty"`
-	// StagesN counts Observe calls per stage, so any heartbeat or
-	// manifest yields a mean stage latency, not just a total.
-	StagesN map[string]uint64 `json:"stages_n,omitempty"`
+	Counters map[string]uint64 `json:"counters"`
+	Gauges   map[string]int64  `json:"gauges,omitempty"`
+	// StagesMS is a derived, in-process view: each stage histogram's
+	// SumNanos in milliseconds, keyed by stage name.  Run.Snapshot
+	// fills it; it is never serialised or exported, because the
+	// "stage_<name>" histogram already carries the same total (sum_ns)
+	// with its observation count.
+	StagesMS map[string]float64 `json:"-"`
 	// Hists carries the latency histograms: the service-level set
 	// (job_queue_wait, job_execution, ...) under their own names and
-	// each stage's under "stage_<name>".
+	// each stage's under "stage_<name>", the only record of stage time
+	// (mean stage latency = sum_ns / count).
 	Hists  map[string]*HistSnap `json:"hists,omitempty"`
 	Shards []ShardSnap          `json:"shards,omitempty"`
 }

@@ -19,8 +19,10 @@ import (
 // makes round-trip tests exact.
 
 // SchemaVersion is bumped when an envelope or payload field changes
-// meaning; additions are backward compatible and do not bump it.
-const SchemaVersion = 1
+// meaning or goes away; additions are backward compatible and do not
+// bump it.  In version 2 a snapshot records stage time only in its
+// stage histograms.
+const SchemaVersion = 2
 
 // Event types.
 const (

@@ -117,9 +117,9 @@ func TestValidateStream(t *testing.T) {
 		name, stream, want string
 	}{
 		{"corrupt json", "{not json\n", "line 1"},
-		{"schema violation", `{"v":1,"type":"point-done","seq":0}` + "\n", "line 1"},
-		{"seq regression", `{"v":1,"type":"point-done","seq":5,"elapsed_ms":0,"point_done":{"workload":"W","point":"64:4,2"}}` + "\n" +
-			`{"v":1,"type":"point-done","seq":5,"elapsed_ms":0,"point_done":{"workload":"W","point":"64:4,2"}}` + "\n", "line 2"},
+		{"schema violation", `{"v":2,"type":"point-done","seq":0}` + "\n", "line 1"},
+		{"seq regression", `{"v":2,"type":"point-done","seq":5,"elapsed_ms":0,"point_done":{"workload":"W","point":"64:4,2"}}` + "\n" +
+			`{"v":2,"type":"point-done","seq":5,"elapsed_ms":0,"point_done":{"workload":"W","point":"64:4,2"}}` + "\n", "line 2"},
 	}
 	for _, tc := range bad {
 		if _, err := ValidateStream(strings.NewReader(tc.stream)); err == nil {

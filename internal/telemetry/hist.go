@@ -10,11 +10,13 @@ import (
 // Latency histograms.  The bucketing is log2 over nanoseconds: bucket 0
 // holds exactly {0}, bucket i (i >= 1) holds [2^(i-1), 2^i) ns, and the
 // last bucket absorbs everything at or above 2^62 ns.  An observation
-// is three atomic adds plus one CAS loop for the exact maximum -- no
+// is two atomic adds plus one CAS loop for the exact maximum -- no
 // locks, no allocation -- so recording rides the same hot-path budget
-// as the counters.  Identical observation sets produce identical
-// histograms regardless of interleaving (bucket/count/sum conservation
-// is enforced under -race by TestHistogramConcurrentExact).
+// as the counters.  The count is not stored: it is the bucket total,
+// so a snapshot taken mid-observation never reports a count that
+// disagrees with its own buckets.  Identical observation sets produce
+// identical histograms regardless of interleaving (bucket/count/sum
+// conservation is enforced under -race by TestHistogramConcurrentExact).
 
 // histBuckets is the bucket-array size: bits.Len64 of any uint64 is at
 // most 64, and index 63 doubles as the overflow bucket.
@@ -67,7 +69,6 @@ func (h Hist) String() string {
 // Histogram is a concurrent-safe log2-bucketed latency histogram.  The
 // zero value is ready to use.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
 	max     atomic.Uint64 // nanoseconds, exact
 	buckets [histBuckets]atomic.Uint64
@@ -93,7 +94,6 @@ func bucketLo(i int) uint64 {
 // Observe records one value in nanoseconds.
 func (h *Histogram) Observe(ns uint64) {
 	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		cur := h.max.Load()
@@ -111,22 +111,21 @@ func (h *Histogram) ObserveDur(d time.Duration) {
 	h.Observe(uint64(d))
 }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Snap copies the histogram's current state (nil when it has recorded
-// nothing, so snapshots omit untouched histograms).
+// nothing, so snapshots omit untouched histograms).  Count is the sum
+// of the copied buckets.
 func (h *Histogram) Snap() *HistSnap {
-	n := h.count.Load()
-	if n == 0 {
-		return nil
-	}
-	s := &HistSnap{Count: n, SumNanos: h.sum.Load(), MaxNanos: h.max.Load()}
+	s := &HistSnap{}
 	for i := 0; i < histBuckets; i++ {
 		if v := h.buckets[i].Load(); v != 0 {
 			s.Buckets = append(s.Buckets, HistBucket{LoNanos: bucketLo(i), N: v})
+			s.Count += v
 		}
 	}
+	if s.Count == 0 {
+		return nil
+	}
+	s.SumNanos, s.MaxNanos = h.sum.Load(), h.max.Load()
 	return s
 }
 

@@ -11,8 +11,9 @@ import (
 	"time"
 )
 
-// ManifestVersion is the RUN.json schema version.
-const ManifestVersion = 1
+// ManifestVersion is the RUN.json schema version.  Version 2 carries
+// the version-2 snapshot (see SchemaVersion) in telemetry.
+const ManifestVersion = 2
 
 // Manifest is a run manifest (RUN.json): one self-describing record of
 // what a command ran, on what, for how long, and what the pipeline

@@ -61,7 +61,7 @@ func TestManifestValidateRejects(t *testing.T) {
 		break_ func(*Manifest)
 		want   string
 	}{
-		{"bad version", func(m *Manifest) { m.V = 2 }, "version"},
+		{"bad version", func(m *Manifest) { m.V = ManifestVersion - 1 }, "version"},
 		{"missing tool", func(m *Manifest) { m.Tool = "" }, "tool"},
 		{"missing fingerprint", func(m *Manifest) { m.Fingerprint = "" }, "fingerprint"},
 		{"missing machine", func(m *Manifest) { m.NumCPU = 0 }, "machine"},

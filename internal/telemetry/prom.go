@@ -97,12 +97,13 @@ func (p *promWriter) histSeries(name, labels string, s *HistSnap) {
 }
 
 // WritePromText renders a telemetry snapshot as Prometheus text
-// exposition under the given namespace prefix.  extra adds gauges
-// outside the snapshot (cache sizes, worker counts); build, when
-// non-nil, emits a <ns>_build_info gauge with its entries as labels
-// (injectable so the golden test is deterministic).  Output order is
-// fully deterministic: build info, counters, gauges, stage totals,
-// histograms, shard series -- each sorted by name.
+// exposition under the given namespace prefix.  Every catalogue gauge
+// is exported, 0 when the snapshot lacks it, so an idle process still
+// shows its gauges.  extra adds gauges outside the snapshot (cache
+// sizes, worker counts); build, when non-nil, emits a <ns>_build_info
+// gauge with its entries as labels (injectable so the golden test is
+// deterministic).  Output order is fully deterministic: build info,
+// counters, gauges, histograms, shard series -- each sorted by name.
 func WritePromText(w io.Writer, ns string, s *Snapshot, extra map[string]float64, build map[string]string) error {
 	p := &promWriter{w: w}
 
@@ -141,49 +142,27 @@ func WritePromText(w io.Writer, ns string, s *Snapshot, extra map[string]float64
 		p.printf("%s %d\n", name, v)
 	}
 
-	// Gauges: snapshot gauges then caller extras, one sorted space.
-	type gauge struct {
-		name string
-		val  float64
+	// Gauges: the catalogue (0 when absent), snapshot gauges and
+	// caller extras, one sorted space.
+	gauges := make(map[string]float64, int(numGauges)+len(s.Gauges)+len(extra))
+	for g := Gauge(0); g < numGauges; g++ {
+		gauges[g.String()] = 0
 	}
-	var gauges []gauge
 	for n, v := range s.Gauges {
-		gauges = append(gauges, gauge{ns + "_" + n, float64(v)})
+		gauges[n] = float64(v)
 	}
 	for n, v := range extra {
-		gauges = append(gauges, gauge{ns + "_" + n, v})
+		gauges[n] = v
 	}
-	sort.Slice(gauges, func(i, j int) bool { return gauges[i].name < gauges[j].name })
-	for _, g := range gauges {
-		p.family(g.name, "gauge", "Instantaneous value (see docs/OBSERVABILITY.md).")
-		p.printf("%s %s\n", g.name, promFloat(g.val))
+	gnames := make([]string, 0, len(gauges))
+	for n := range gauges {
+		gnames = append(gnames, n)
 	}
-
-	// Stage totals: cumulative seconds and observation counts, one
-	// family each with a stage label.
-	if len(s.StagesMS) > 0 {
-		snames := make([]string, 0, len(s.StagesMS))
-		for n := range s.StagesMS {
-			snames = append(snames, n)
-		}
-		sort.Strings(snames)
-		name := ns + "_stage_seconds_total"
-		p.family(name, "counter", "Cumulative wall time per pipeline stage in seconds.")
-		for _, n := range snames {
-			p.printf("%s{stage=\"%s\"} %s\n", name, promEscape(n), promFloat(s.StagesMS[n]/1e3))
-		}
-	}
-	if len(s.StagesN) > 0 {
-		snames := make([]string, 0, len(s.StagesN))
-		for n := range s.StagesN {
-			snames = append(snames, n)
-		}
-		sort.Strings(snames)
-		name := ns + "_stage_observations_total"
-		p.family(name, "counter", "Observations per pipeline stage (mean latency = stage_seconds_total / this).")
-		for _, n := range snames {
-			p.printf("%s{stage=\"%s\"} %d\n", name, promEscape(n), s.StagesN[n])
-		}
+	sort.Strings(gnames)
+	for _, n := range gnames {
+		name := ns + "_" + n
+		p.family(name, "gauge", "Instantaneous value (see docs/OBSERVABILITY.md).")
+		p.printf("%s %s\n", name, promFloat(gauges[n]))
 	}
 
 	// Histograms: stage histograms fold into one family under a stage

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // promTestSnapshot builds a small fixed snapshot whose exposition is
@@ -16,8 +17,6 @@ func promTestSnapshot() *Snapshot {
 	return &Snapshot{
 		Counters: map[string]uint64{"cache_hits": 7, "busy_nanos": 1_500_000_000},
 		Gauges:   map[string]int64{"queue_depth": 2},
-		StagesMS: map[string]float64{"simulate": 2000},
-		StagesN:  map[string]uint64{"simulate": 4},
 		Hists: map[string]*HistSnap{
 			"job_queue_wait": qw.Snap(),
 			"stage_simulate": sim.Snap(),
@@ -28,7 +27,8 @@ func promTestSnapshot() *Snapshot {
 
 // TestWritePromTextGolden pins the exposition byte-for-byte: ordering,
 // HELP/TYPE grammar, unit conversions (nanos->seconds), cumulative
-// buckets and the build-info labels.  A diff here is a contract change
+// buckets, the build-info labels, catalogue gauges exported at 0 when
+// absent, and stage time exported once, as the stage histogram.  A diff here is a contract change
 // for every scraper.
 func TestWritePromTextGolden(t *testing.T) {
 	var b strings.Builder
@@ -47,18 +47,18 @@ test_busy_seconds_total 1.5
 # HELP test_cache_hits_total Monotonic counter cache_hits (see docs/OBSERVABILITY.md).
 # TYPE test_cache_hits_total counter
 test_cache_hits_total 7
+# HELP test_active_workloads Instantaneous value (see docs/OBSERVABILITY.md).
+# TYPE test_active_workloads gauge
+test_active_workloads 0
+# HELP test_free_ring_occupancy Instantaneous value (see docs/OBSERVABILITY.md).
+# TYPE test_free_ring_occupancy gauge
+test_free_ring_occupancy 0
 # HELP test_queue_depth Instantaneous value (see docs/OBSERVABILITY.md).
 # TYPE test_queue_depth gauge
 test_queue_depth 2
 # HELP test_workers Instantaneous value (see docs/OBSERVABILITY.md).
 # TYPE test_workers gauge
 test_workers 4
-# HELP test_stage_seconds_total Cumulative wall time per pipeline stage in seconds.
-# TYPE test_stage_seconds_total counter
-test_stage_seconds_total{stage="simulate"} 2
-# HELP test_stage_observations_total Observations per pipeline stage (mean latency = stage_seconds_total / this).
-# TYPE test_stage_observations_total counter
-test_stage_observations_total{stage="simulate"} 4
 # HELP test_stage_duration_seconds Latency distribution per pipeline stage (log2 buckets).
 # TYPE test_stage_duration_seconds histogram
 test_stage_duration_seconds_bucket{stage="simulate",le="0.536870912"} 1
@@ -106,7 +106,7 @@ func TestWritePromTextRoundTrip(t *testing.T) {
 }
 
 // TestWritePromTextEmptySnapshot: a freshly started server must still
-// expose a parseable page.
+// expose a parseable page, with every catalogue gauge at 0.
 func TestWritePromTextEmptySnapshot(t *testing.T) {
 	var b strings.Builder
 	if err := WritePromText(&b, "test", &Snapshot{Counters: map[string]uint64{}}, nil,
@@ -115,6 +115,43 @@ func TestWritePromTextEmptySnapshot(t *testing.T) {
 	}
 	if _, err := ValidatePromText(strings.NewReader(b.String())); err != nil {
 		t.Fatalf("empty-snapshot exposition rejected: %v\n%s", err, b.String())
+	}
+	for g := Gauge(0); g < numGauges; g++ {
+		if line := "\ntest_" + g.String() + " 0\n"; !strings.Contains(b.String(), line) {
+			t.Errorf("idle exposition lacks %q", strings.TrimSpace(line))
+		}
+	}
+}
+
+// TestWritePromTextValidMidObservation: a scrape taken while stage
+// and service histograms are being observed still validates -- each
+// histogram's count is its own bucket total, so +Inf always equals
+// _count and never falls below a finite cumulative bucket.
+func TestWritePromTextValidMidObservation(t *testing.T) {
+	r := NewRun(Options{})
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.Observe(StageSimulate, time.Duration(i%5000))
+			r.ObserveDur(HistQueueWait, time.Duration(i%300))
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for i := 0; i < 200; i++ {
+		var b strings.Builder
+		if err := WritePromText(&b, "test", r.Snapshot(), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ValidatePromText(strings.NewReader(b.String())); err != nil {
+			t.Fatalf("scrape %d rejected: %v", i, err)
+		}
 	}
 }
 

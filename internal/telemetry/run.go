@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// maxShards bounds the per-shard aggregate array.  Shard counts come
-// from GOMAXPROCS, so 256 is far beyond any real machine this runs on;
-// higher indexes are clamped into the last cell rather than dropped.
-const maxShards = 256
+// MaxShards sizes the per-shard aggregate array, one cell per shard
+// worker.  sweep.MaxShards is defined from it, so every shard a sweep
+// can run has its own cell; a higher index (a caller outside the
+// sweep's bound) is clamped into the last cell rather than dropped.
+const MaxShards = 1024
 
 // shardCell is one shard's atomics.
 type shardCell struct {
@@ -35,17 +36,16 @@ type Options struct {
 }
 
 // Run is the live Recorder: pre-sized atomic arrays for counters,
-// gauges, stage times and shard aggregates, plus an optional event
-// sink and heartbeat.  All methods are safe for concurrent use.
+// gauges, stage and service histograms and shard aggregates, plus an
+// optional event sink and heartbeat.  All methods are safe for
+// concurrent use.
 type Run struct {
 	start      time.Time
 	counters   [numCounters]atomic.Uint64
 	gauges     [numGauges]atomic.Int64
-	stages     [numStages]atomic.Int64 // nanoseconds
-	stageN     [numStages]atomic.Uint64
 	stageHists [numStages]Histogram
 	hists      [numHists]Histogram
-	shards     [maxShards]shardCell
+	shards     [MaxShards]shardCell
 	nshards    atomic.Int64 // highest shard index observed + 1
 	seq        atomic.Uint64
 
@@ -89,13 +89,10 @@ func (r *Run) SetGauge(g Gauge, v int64) {
 	}
 }
 
-// Observe implements Recorder: the duration accumulates into the
-// stage's total, bumps its observation count, and lands in its latency
-// histogram, all atomically.
+// Observe implements Recorder: the duration lands in the stage's
+// latency histogram, the only record of stage time.
 func (r *Run) Observe(s Stage, d time.Duration) {
 	if s >= 0 && s < numStages {
-		r.stages[s].Add(int64(d))
-		r.stageN[s].Add(1)
 		r.stageHists[s].ObserveDur(d)
 	}
 }
@@ -112,8 +109,8 @@ func (r *Run) ShardObserve(shard int, refs uint64, busy time.Duration) {
 	if shard < 0 {
 		return
 	}
-	if shard >= maxShards {
-		shard = maxShards - 1
+	if shard >= MaxShards {
+		shard = MaxShards - 1
 	}
 	r.shards[shard].refs.Add(refs)
 	r.shards[shard].busyNanos.Add(int64(busy))
@@ -176,20 +173,12 @@ func (r *Run) Snapshot() *Snapshot {
 		}
 	}
 	for st := Stage(0); st < numStages; st++ {
-		if v := r.stages[st].Load(); v != 0 {
-			s.StagesMS[st.String()] = float64(v) / 1e6
-		}
-		if n := r.stageN[st].Load(); n != 0 {
-			if s.StagesN == nil {
-				s.StagesN = make(map[string]uint64, numStages)
-			}
-			s.StagesN[st.String()] = n
-		}
 		if hs := r.stageHists[st].Snap(); hs != nil {
 			if s.Hists == nil {
 				s.Hists = make(map[string]*HistSnap)
 			}
 			s.Hists["stage_"+st.String()] = hs
+			s.StagesMS[st.String()] = float64(hs.SumNanos) / 1e6
 		}
 	}
 	for h := Hist(0); h < numHists; h++ {

@@ -66,8 +66,13 @@ func TestRunSnapshot(t *testing.T) {
 	if got := s.Gauges["free_ring_occupancy"]; got != 3 {
 		t.Errorf("free_ring_occupancy = %d, want 3", got)
 	}
+	// Stage time lives only in the stage histogram; StagesMS is its
+	// in-process millisecond view.
+	if hs := s.Hists["stage_simulate"]; hs == nil || hs.Count != 2 || hs.SumNanos != uint64(3*time.Millisecond) {
+		t.Errorf("stage_simulate = %+v, want count 2 sum 3ms", hs)
+	}
 	if got := s.StagesMS["simulate"]; got != 3.0 {
-		t.Errorf("simulate stage = %vms, want 3ms", got)
+		t.Errorf("simulate stage view = %vms, want 3ms", got)
 	}
 	// Shard 1 was never observed but sits inside the observed range, so
 	// it appears with zeros; the range ends at the highest shard seen.
@@ -86,9 +91,9 @@ func TestRunSnapshot(t *testing.T) {
 	r.Add(numCounters, 1)
 	r.Observe(numStages, time.Second)
 	r.ShardObserve(-1, 9, 0)
-	r.ShardObserve(maxShards+10, 9, 0) // clamps into the last cell
-	if got := len(r.Snapshot().Shards); got != maxShards {
-		t.Errorf("after clamped observe, shards = %d, want %d", got, maxShards)
+	r.ShardObserve(MaxShards+10, 9, 0) // clamps into the last cell
+	if got := len(r.Snapshot().Shards); got != MaxShards {
+		t.Errorf("after clamped observe, shards = %d, want %d", got, MaxShards)
 	}
 }
 

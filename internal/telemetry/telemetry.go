@@ -39,8 +39,8 @@ type Recorder interface {
 	Add(c Counter, n uint64)
 	// SetGauge records the current value of an instantaneous gauge.
 	SetGauge(g Gauge, v int64)
-	// Observe accumulates wall time into a pipeline stage, and records
-	// the same duration in the stage's latency histogram.
+	// Observe records one pipeline-stage duration in the stage's
+	// latency histogram.
 	Observe(s Stage, d time.Duration)
 	// ObserveDur records one duration in a service-level latency
 	// histogram.
