@@ -25,16 +25,17 @@ vet:
 	$(GO) vet ./...
 
 # Deterministic fault-injection campaign plus the checkpoint, panic
-# isolation and corrupt-trace suites, under the race detector.
+# isolation, corrupt-trace and durable-record suites, under the race
+# detector.
 test-faults:
-	$(GO) test -race -run 'Fault|Panic|Campaign|ContinueOnError|Journal|Checkpoint|Corrupt|Truncated|Latched|Cancel|StackDist' ./internal/faultinject/... ./internal/sweep/... ./internal/trace/... .
+	$(GO) test -race -run 'Fault|Panic|Campaign|ContinueOnError|Journal|Checkpoint|Corrupt|Truncated|Latched|Cancel|StackDist|Seal|ReadLines|AppendLog|WriteFileAtomic' ./internal/faultinject/... ./internal/sweep/... ./internal/trace/... ./internal/durable/... .
 
 # Telemetry contracts under the race detector: schema round-trips,
 # counter exactness, bit-identical results with a recorder attached,
 # and error-attribution mirroring in the fault campaign (see
 # docs/OBSERVABILITY.md).
 test-telemetry:
-	$(GO) test -race -run 'Telemetry|Event|Stream|Sink|Manifest|Fingerprint|Snapshot|Run(Emit|Close|Concurrent)|Nop|Mirrored|WriteFileAtomic|Histogram|Quantile|Prom|Span|Metrics' ./internal/telemetry/... ./internal/sweep/... ./internal/faultinject/... ./internal/service/...
+	$(GO) test -race -run 'Telemetry|Event|Stream|Sink|Manifest|Fingerprint|Snapshot|Run(Emit|Close|Concurrent)|Nop|Mirrored|Histogram|Quantile|Prom|Span|Metrics' ./internal/telemetry/... ./internal/sweep/... ./internal/faultinject/... ./internal/service/...
 
 # Sweep service contracts under the race detector: admission control,
 # singleflight dedup, tenant quotas, graceful drain with bit-identical
@@ -43,14 +44,17 @@ test-telemetry:
 test-service:
 	$(GO) test -race -run 'Service|Submit|Admission|Quota|Dedup|Drain|Fingerprint|RunEnd|Leak|RunClose' ./internal/service/... ./internal/telemetry/...
 
-# Durability contracts under the race detector: job-journal replay and
-# torn-tail recovery, verified-cache quarantine, TTL and LRU eviction,
-# per-job timeouts, transient retry, bounded retention of finished
-# jobs and cached results, and the SIGKILL kill-restart
-# campaign (fixed seed 1; override with FAULTINJECT_SEED=N to explore
-# other kill timings).  See docs/SERVICE.md "Durability and recovery".
+# Durability contracts under the race detector: the sealed-record,
+# append-log and atomic-write protocols (internal/durable), job-journal
+# replay and torn-tail recovery, loading of version-1 files,
+# verified-cache quarantine, TTL and LRU eviction, per-job timeouts,
+# transient retry, bounded retention of finished jobs and cached
+# results, the fuzz seed corpora of the durable boundaries, and the
+# SIGKILL kill-restart campaign (fixed seed 1; override with
+# FAULTINJECT_SEED=N to explore other kill timings).  See
+# docs/SERVICE.md "Durability and recovery".
 test-durability:
-	$(GO) test -race -run 'Journal|CrashRecovery|DrainThenRestart|CacheCorruption|CacheTTL|CacheSizeCap|Retention|JobTimeout|TransientRetry|ReadyzDraining|Transient|ServiceKillRestartCampaign' ./internal/service/... ./internal/sweep/... ./internal/faultinject/...
+	$(GO) test -race -run 'Journal|CrashRecovery|DrainThenRestart|CacheCorruption|CacheTTL|CacheSizeCap|Retention|JobTimeout|TransientRetry|ReadyzDraining|Transient|ServiceKillRestartCampaign|Seal|ReadLines|AppendLog|WriteFileAtomic|FormatCompat|StoreEntry' ./internal/durable/... ./internal/service/... ./internal/sweep/... ./internal/faultinject/...
 
 # Stack-distance engine gate under the race detector: differential
 # equivalence, inclusion/conservation property tests, partition

@@ -69,6 +69,7 @@ import (
 	"syscall"
 	"time"
 
+	"subcache/internal/durable"
 	"subcache/internal/kernelbench"
 	"subcache/internal/sweep"
 	"subcache/internal/synth"
@@ -376,7 +377,7 @@ func main() {
 	}
 	// Atomic, like WriteTraceFile: an interrupted bench never leaves a
 	// torn BENCH_sweep.json behind for CI to diff against.
-	if err := telemetry.WriteFileAtomic(*out, append(b, '\n'), 0o644); err != nil {
+	if err := durable.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
 		die("benchsweep:", err)
 	}
 

@@ -50,6 +50,7 @@ import (
 	"syscall"
 	"time"
 
+	"subcache/internal/durable"
 	"subcache/internal/service"
 	"subcache/internal/telemetry"
 )
@@ -135,7 +136,7 @@ func main() {
 	if b, err := json.MarshalIndent(snap, "", "  "); err == nil {
 		fmt.Fprintf(os.Stderr, "sweepd: final stats: %s\n", b)
 		if *stats != "" {
-			if err := telemetry.WriteFileAtomic(*stats, append(b, '\n'), 0o644); err != nil {
+			if err := durable.WriteFile(*stats, append(b, '\n'), 0o644); err != nil {
 				fmt.Fprintln(os.Stderr, "sweepd:", err)
 				exit = 1
 			}

@@ -54,6 +54,7 @@ import (
 	"sync"
 	"time"
 
+	"subcache/internal/durable"
 	"subcache/internal/service"
 	"subcache/internal/telemetry"
 )
@@ -265,7 +266,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sweeploadgen:", err)
 		os.Exit(1)
 	}
-	if err := telemetry.WriteFileAtomic(*out, append(b, '\n'), 0o644); err != nil {
+	if err := durable.WriteFile(*out, append(b, '\n'), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "sweeploadgen:", err)
 		os.Exit(1)
 	}

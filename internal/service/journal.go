@@ -1,15 +1,13 @@
 // Job journal: crash-safe persistence of the service's job table.
 //
 // Every job state transition -- admitted, started, completed, failed,
-// canceled, evicted -- is one appended JSON line in <dir>/jobs.jsonl,
-// following the internal/sweep checkpoint record conventions: a schema
-// version, a per-record SHA-256 checksum over the serialised payload,
-// one fsynced append per record, and torn-tail tolerance on load (a
-// record killed mid-write fails its checksum and is skipped, never
-// half-trusted).  The admitted record carries the full wire request, so
-// startup replay can reconstruct and re-admit every job that never
-// reached a terminal state: the crash-recovery half of the service's
-// "every admitted job reaches a terminal state exactly once" contract.
+// canceled, evicted -- is one versioned, sealed record appended to the
+// internal/durable log <dir>/jobs.jsonl; a record killed mid-write
+// fails its seal on load and is skipped.  The admitted record carries
+// the full wire request, so startup replay can reconstruct and re-admit
+// every job that never reached a terminal state: the crash-recovery
+// half of the service's "every admitted job reaches a terminal state
+// exactly once" contract.
 // Because the job id is the request fingerprint, a client polling a
 // recovered id lands on the re-admitted job via the ordinary
 // singleflight path, and the re-run resumes bit-identically from the
@@ -18,22 +16,17 @@
 // On open the journal is compacted: terminal jobs need no records (the
 // verified result cache serves them), so the rewritten file holds one
 // admitted record per non-terminal job, written atomically
-// (telemetry.WriteFileAtomic) before appends resume.  That bounds the
-// file across restarts without ever losing a live job.
+// (durable.WriteFile) before appends resume.  That bounds the file
+// across restarts without ever losing a live job.
 package service
 
 import (
-	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 	"time"
 
+	"subcache/internal/durable"
 	"subcache/internal/telemetry"
 )
 
@@ -73,10 +66,8 @@ var journalKinds = map[string]bool{
 	KindEvicted:   true,
 }
 
-// JournalRecord is one job state transition.  Sum is the hex SHA-256 of
-// the record serialised with Sum empty, exactly the internal/sweep
-// checkpoint convention; load and ValidateJournal reject records whose
-// recomputed sum differs.
+// JournalRecord is one job state transition, stored as one sealed
+// line (durable.Seal).
 type JournalRecord struct {
 	V    int    `json:"v"`
 	Kind string `json:"kind"`
@@ -89,46 +80,26 @@ type JournalRecord struct {
 	// records.
 	Error string `json:"error,omitempty"`
 	// UnixMS is the transition's wall-clock time.
-	UnixMS int64  `json:"unix_ms"`
-	Sum    string `json:"sum,omitempty"`
+	UnixMS int64 `json:"unix_ms"`
 }
 
-// sum computes the record's checksum over its payload (Sum cleared).
-func (r JournalRecord) sum() (string, error) {
-	r.Sum = ""
-	b, err := json.Marshal(r)
-	if err != nil {
-		return "", err
+// decodeRecord unseals one journal line and checks its schema.
+func decodeRecord(line []byte) (JournalRecord, error) {
+	var r JournalRecord
+	if err := durable.Unseal(line, &r); err != nil {
+		return r, err
 	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:]), nil
-}
-
-// verify recomputes the checksum and checks the record's schema.
-func (r *JournalRecord) verify() error {
-	if r.V != JournalVersion {
-		return fmt.Errorf("version %d, want %d", r.V, JournalVersion)
+	switch {
+	case r.V != JournalVersion:
+		return r, fmt.Errorf("version %d, want %d", r.V, JournalVersion)
+	case !journalKinds[r.Kind]:
+		return r, fmt.Errorf("unknown transition kind %q", r.Kind)
+	case r.FP == "":
+		return r, fmt.Errorf("%s record missing fp", r.Kind)
+	case r.Kind == KindAdmitted && r.Req == nil:
+		return r, fmt.Errorf("admitted record for %s missing request", r.FP)
 	}
-	if !journalKinds[r.Kind] {
-		return fmt.Errorf("unknown transition kind %q", r.Kind)
-	}
-	if r.FP == "" {
-		return fmt.Errorf("%s record missing fp", r.Kind)
-	}
-	if r.Kind == KindAdmitted && r.Req == nil {
-		return fmt.Errorf("admitted record for %s missing request", r.FP)
-	}
-	if r.Sum == "" {
-		return fmt.Errorf("record missing sum")
-	}
-	want, err := r.sum()
-	if err != nil {
-		return err
-	}
-	if want != r.Sum {
-		return fmt.Errorf("checksum mismatch (have %s, want %s)", r.Sum, want)
-	}
-	return nil
+	return r, nil
 }
 
 // jobState is one fingerprint's replayed journal state: its last
@@ -149,10 +120,8 @@ func (s jobState) terminal() bool {
 // concurrent Append calls; the service appends under its own mutex
 // anyway, so transitions land in the order the job table changed.
 type jobJournal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	rec  telemetry.Recorder
+	log *durable.Log
+	rec telemetry.Recorder
 	// Skipped counts lines rejected on load: torn tails, corruption,
 	// foreign versions.  Informational.
 	Skipped int
@@ -165,41 +134,30 @@ type jobJournal struct {
 // resume, so a crash during open leaves either the old journal or the
 // compacted one, never a torn mix.
 func openJobJournal(path string, rec telemetry.Recorder) (*jobJournal, []jobState, error) {
-	j := &jobJournal{path: path, rec: telemetry.OrNop(rec)}
+	j := &jobJournal{rec: telemetry.OrNop(rec)}
 	states := make(map[string]jobState)
 	var order []string // first-admission order of live fingerprints
-	if f, err := os.Open(path); err == nil {
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1<<16), 1<<26)
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			var r JournalRecord
-			if err := json.Unmarshal(line, &r); err != nil || r.verify() != nil {
-				j.Skipped++
-				continue
-			}
-			prev, seen := states[r.FP]
-			next := jobState{fp: r.FP, kind: r.Kind, tenant: r.Tenant, req: r.Req}
-			if r.Kind != KindAdmitted && seen {
-				// Non-admission transitions keep the admission context.
-				next.tenant, next.req = prev.tenant, prev.req
-			}
-			states[r.FP] = next
-			if !seen {
-				order = append(order, r.FP)
-			}
-		}
-		if err := sc.Err(); err != nil {
-			// An unreadable tail invalidates nothing already verified.
+	old, err := durable.OpenLog(path, func(line []byte) {
+		r, err := decodeRecord(line)
+		if err != nil {
 			j.Skipped++
+			return
 		}
-		f.Close()
-	} else if !os.IsNotExist(err) {
+		prev, seen := states[r.FP]
+		next := jobState{fp: r.FP, kind: r.Kind, tenant: r.Tenant, req: r.Req}
+		if r.Kind != KindAdmitted && seen {
+			// Non-admission transitions keep the admission context.
+			next.tenant, next.req = prev.tenant, prev.req
+		}
+		states[r.FP] = next
+		if !seen {
+			order = append(order, r.FP)
+		}
+	})
+	if err != nil {
 		return nil, nil, fmt.Errorf("service: job journal: %w", err)
 	}
+	old.Close()
 
 	var recovered []jobState
 	var compacted bytes.Buffer
@@ -208,66 +166,43 @@ func openJobJournal(path string, rec telemetry.Recorder) (*jobJournal, []jobStat
 		if st.terminal() || st.req == nil {
 			continue
 		}
-		r := JournalRecord{
+		b, err := durable.Seal(JournalRecord{
 			V: JournalVersion, Kind: KindAdmitted, FP: fp,
 			Tenant: st.tenant, Req: st.req, UnixMS: time.Now().UnixMilli(),
-		}
-		sum, err := r.sum()
-		if err != nil {
-			return nil, nil, fmt.Errorf("service: job journal: %w", err)
-		}
-		r.Sum = sum
-		b, err := json.Marshal(r)
+		})
 		if err != nil {
 			return nil, nil, fmt.Errorf("service: job journal: %w", err)
 		}
 		compacted.Write(append(b, '\n'))
 		recovered = append(recovered, st)
 	}
-	if err := telemetry.WriteFileAtomic(path, compacted.Bytes(), 0o644); err != nil {
+	if err := durable.WriteFile(path, compacted.Bytes(), 0o644); err != nil {
 		return nil, nil, fmt.Errorf("service: job journal: %w", err)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	if j.log, err = durable.OpenLog(path, nil); err != nil {
 		return nil, nil, fmt.Errorf("service: job journal: %w", err)
 	}
-	j.f = f
 	return j, recovered, nil
 }
 
 // append writes one fsynced transition record: fully journaled, or (on
-// a crash mid-write) fully rejected by the checksum on the next load.
+// a crash mid-write) fully rejected by its seal on the next load.
 func (j *jobJournal) append(r JournalRecord) error {
 	r.V = JournalVersion
 	r.UnixMS = time.Now().UnixMilli()
-	sum, err := r.sum()
+	b, err := durable.Seal(r)
 	if err != nil {
 		return fmt.Errorf("service: job journal: %w", err)
 	}
-	r.Sum = sum
-	b, err := json.Marshal(r)
-	if err != nil {
+	if _, err := j.log.Append(b); err != nil {
 		return fmt.Errorf("service: job journal: %w", err)
-	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("service: job journal %s: %w", j.path, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("service: job journal %s: %w", j.path, err)
 	}
 	j.rec.Add(telemetry.JobJournalRecords, 1)
 	return nil
 }
 
 // Close releases the journal file.
-func (j *jobJournal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+func (j *jobJournal) Close() error { return j.log.Close() }
 
 // JournalStats summarises a validated job journal.
 type JournalStats struct {
@@ -285,27 +220,14 @@ type JournalStats struct {
 // cleanly shut down journal has no excuse for an invalid line.
 func ValidateJournal(r io.Reader) (JournalStats, error) {
 	st := JournalStats{ByKind: make(map[string]int)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<26)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return st, fmt.Errorf("line %d: %w", line, err)
-		}
-		if err := rec.verify(); err != nil {
-			return st, fmt.Errorf("line %d: %w", line, err)
+	err := durable.ReadLines(r, func(n int, line []byte) error {
+		rec, err := decodeRecord(line)
+		if err != nil {
+			return fmt.Errorf("line %d: %w", n, err)
 		}
 		st.Records++
 		st.ByKind[rec.Kind]++
-	}
-	if err := sc.Err(); err != nil {
-		return st, fmt.Errorf("line %d: %w", line, err)
-	}
-	return st, nil
+		return nil
+	})
+	return st, err
 }

@@ -5,11 +5,13 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"subcache/internal/durable"
 )
 
 // journalWire is a minimal valid wire request for admitted records.
@@ -164,12 +166,7 @@ func TestJournalAppendAfterCompaction(t *testing.T) {
 // fail validation even though the tolerant loader would skip them.
 func TestValidateJournalRejects(t *testing.T) {
 	good := JournalRecord{V: JournalVersion, Kind: KindAdmitted, FP: "a", Req: journalWire(1000), UnixMS: 1}
-	sum, err := good.sum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	good.Sum = sum
-	goodLine, err := json.Marshal(good)
+	goodLine, err := durable.Seal(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +174,7 @@ func TestValidateJournalRejects(t *testing.T) {
 	mutate := func(f func(*JournalRecord)) string {
 		r := good
 		f(&r)
-		s, err := r.sum()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r.Sum = s
-		b, err := json.Marshal(r)
+		b, err := durable.Seal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,4 +216,51 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// FuzzJobJournalReplay: replay of arbitrary bytes is idempotent -- the
+// compacted journal an open leaves behind recovers the same jobs and
+// nothing in it is skipped -- and the bytes after the last newline, a
+// torn tail unless they happen to form a whole valid record, never
+// change what the complete lines before them recover.
+func FuzzJobJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		type job struct {
+			fp, tenant string
+			req        *SweepRequest
+		}
+		open := func(path string) ([]job, int) {
+			j, recovered, err := openJobJournal(path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			jobs := make([]job, len(recovered))
+			for i, st := range recovered {
+				jobs[i] = job{st.fp, st.tenant, st.req}
+			}
+			return jobs, j.Skipped
+		}
+		replay := func(name string, b []byte) []job {
+			path := filepath.Join(dir, name)
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			first, _ := open(path)
+			again, skipped := open(path)
+			if !reflect.DeepEqual(first, again) || skipped != 0 {
+				t.Fatalf("replay not idempotent: %+v then %+v (skipped %d)", first, again, skipped)
+			}
+			return first
+		}
+		got := replay("all.jsonl", data)
+		cut := bytes.LastIndexByte(data, '\n') + 1
+		if _, err := decodeRecord(bytes.TrimSpace(data[cut:])); cut == len(data) || err == nil {
+			return
+		}
+		if prefix := replay("prefix.jsonl", data[:cut]); !reflect.DeepEqual(got, prefix) {
+			t.Fatalf("torn tail %q changed recovery: %+v, complete lines alone %+v", data[cut:], got, prefix)
+		}
+	})
 }

@@ -3,14 +3,13 @@
 //
 // Each entry (<dir>/cache/<fp>.json) is a JSON envelope -- schema
 // version, owning fingerprint, write timestamp, SHA-256 of the payload,
-// payload -- written atomically via telemetry.WriteFileAtomic (fsync'd
-// temp + rename), so readers never observe a torn write and a crash
-// never leaves a partial entry.  A read re-verifies everything: an
-// entry that fails to parse, carries the wrong version or fingerprint,
-// or whose payload checksum mismatches is quarantined into
-// <dir>/cache/corrupt/ (never served, never silently deleted -- the
-// evidence is kept for inspection) and the request is transparently
-// re-simulated.
+// payload -- written atomically (durable.WriteFile), so readers never
+// observe a torn write and a crash never leaves a partial entry.  A
+// read re-verifies everything: an entry that fails to parse, carries
+// the wrong version or fingerprint, or whose payload checksum
+// mismatches is quarantined into <dir>/cache/corrupt/ (never served,
+// never silently deleted -- the evidence is kept for inspection) and
+// the request is transparently re-simulated.
 //
 // The store is bounded two ways: entries older than the TTL are
 // reclaimed (along with their checkpoint journals -- a stale result's
@@ -33,8 +32,6 @@ package service
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -44,7 +41,7 @@ import (
 	"sync"
 	"time"
 
-	"subcache/internal/telemetry"
+	"subcache/internal/durable"
 )
 
 // storeVersion is the cache-entry envelope schema version; entries with
@@ -138,12 +135,6 @@ func openStore(dir string, ttl time.Duration, maxBytes int64) (*diskStore, error
 
 func (st *diskStore) path(fp string) string { return filepath.Join(st.dir, fp+".json") }
 
-// payloadSum is the entry checksum: hex SHA-256 over the payload bytes.
-func payloadSum(payload []byte) string {
-	h := sha256.Sum256(payload)
-	return hex.EncodeToString(h[:])
-}
-
 // get returns one fresh, verified entry: from the memory tier if it
 // holds the entry, otherwise read from disk and fully verified, which
 // admits the payload to the memory tier.  An entry past its TTL is
@@ -173,7 +164,7 @@ func (st *diskStore) get(fp string) ([]byte, storeStatus) {
 	var env storeEnvelope
 	if uerr := json.Unmarshal(b, &env); uerr != nil ||
 		env.V != storeVersion || env.FP != fp ||
-		env.Sum == "" || env.Sum != payloadSum(env.Payload) {
+		env.Sum == "" || env.Sum != durable.Sum(env.Payload) {
 		st.quarantineLocked(fp, path)
 		return nil, storeCorrupt
 	}
@@ -232,14 +223,14 @@ func (st *diskStore) put(fp string, payload []byte) (expired, evicted []string, 
 	env := storeEnvelope{
 		V: storeVersion, FP: fp,
 		WrittenUnix: time.Now().UnixMilli(),
-		Sum:         payloadSum(payload),
+		Sum:         durable.Sum(payload),
 		Payload:     payload,
 	}
 	b, err := json.Marshal(env)
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: cache %s: %w", fp, err)
 	}
-	if err := telemetry.WriteFileAtomic(st.path(fp), b, 0o644); err != nil {
+	if err := durable.WriteFile(st.path(fp), b, 0o644); err != nil {
 		return nil, nil, fmt.Errorf("service: cache %s: %w", fp, err)
 	}
 	st.mu.Lock()

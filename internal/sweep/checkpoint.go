@@ -1,35 +1,28 @@
 // Checkpoint journal: crash-safe persistence of completed sweep work.
 //
-// A journal is an append-only file of JSON lines, one entry per
+// A journal is an internal/durable log of sealed entries, one per
 // completed (request fingerprint, workload) pair, each carrying every
-// point's metrics.Run and a SHA-256 checksum of its own payload.  A
-// sweep with Request.Checkpoint set records each workload the moment
-// it completes (single atomic append + fsync), and a restarted sweep
-// restores matching entries instead of re-simulating them.  Because
-// every engine and shard count produces bit-identical runs, entries
-// are keyed only by what determines results -- architecture, trace
-// length, and the point set -- so a resume may freely change engine,
-// shard count or parallelism, and a partial-suite run can seed a
-// full-suite one.
-//
-// Robustness: a torn final line (killed mid-append), a corrupted line,
-// or an entry whose checksum does not match is skipped on load and
-// simply re-simulated; it can never be half-trusted.  Entries from
-// other requests sharing the file are ignored, so one journal file can
-// serve a whole experiment series.
+// point's metrics.Run.  A sweep with Request.Checkpoint set records
+// each workload the moment it completes, and a restarted sweep restores
+// matching entries instead of re-simulating them.  Because every engine
+// and shard count produces bit-identical runs, entries are keyed only
+// by what determines results -- architecture, trace length, and the
+// point set -- so a resume may freely change engine, shard count or
+// parallelism, and a partial-suite run can seed a full-suite one.  A
+// line that fails to verify (torn, corrupted, foreign version) is
+// skipped and its workload re-simulated, never half-trusted; entries
+// from other requests sharing the file are ignored, so one journal
+// file can serve a whole experiment series.
 package sweep
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
+	"subcache/internal/durable"
 	"subcache/internal/metrics"
 	"subcache/internal/telemetry"
 )
@@ -45,33 +38,19 @@ type journalRun struct {
 }
 
 // journalEntry is one completed workload within one fingerprinted
-// request.  Sum is the hex SHA-256 of the entry serialised with Sum
-// empty; load rejects entries whose recomputed sum differs.
+// request, stored as one durable.Seal line.
 type journalEntry struct {
 	V        int          `json:"v"`
 	FP       string       `json:"fp"`
 	Workload string       `json:"workload"`
 	Runs     []journalRun `json:"runs"`
-	Sum      string       `json:"sum,omitempty"`
-}
-
-// sum computes the entry's checksum over its payload (Sum cleared).
-func (e journalEntry) sum() (string, error) {
-	e.Sum = ""
-	b, err := json.Marshal(e)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:]), nil
 }
 
 // Journal is an open checkpoint file.  Safe for concurrent Record
 // calls from sweep workers.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
-	path string
+	log  *durable.Log
 	done map[string]journalEntry // "fp\x00workload" -> last valid entry
 	rec  telemetry.Recorder      // set by RunContext; never nil
 	// Skipped counts lines that failed to parse or verify on load:
@@ -85,35 +64,19 @@ func journalKey(fp, workload string) string { return fp + "\x00" + workload }
 // loads every hash-verified entry.  Invalid lines are counted in
 // Skipped and otherwise ignored.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	j := &Journal{done: make(map[string]journalEntry), rec: telemetry.Nop}
+	log, err := durable.OpenLog(path, func(line []byte) {
+		var e journalEntry
+		if durable.Unseal(line, &e) != nil || e.V != journalVersion {
+			j.Skipped++
+			return
+		}
+		j.done[journalKey(e.FP, e.Workload)] = e
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sweep: checkpoint: %w", err)
 	}
-	j := &Journal{f: f, path: path, done: make(map[string]journalEntry), rec: telemetry.Nop}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<26)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil || e.V != journalVersion || e.Sum == "" {
-			j.Skipped++
-			continue
-		}
-		want, err := e.sum()
-		if err != nil || want != e.Sum {
-			j.Skipped++
-			continue
-		}
-		j.done[journalKey(e.FP, e.Workload)] = e
-	}
-	if err := sc.Err(); err != nil {
-		// An unreadable tail (e.g. a torn line longer than the buffer)
-		// invalidates nothing already verified; keep what we have.
-		j.Skipped++
-	}
+	j.log = log
 	return j, nil
 }
 
@@ -145,44 +108,27 @@ func (j *Journal) Record(fp, workload string, points []Point, runs map[Point]met
 		}
 		e.Runs = append(e.Runs, journalRun{Point: p, Run: r})
 	}
-	sum, err := e.sum()
+	b, err := durable.Seal(e)
 	if err != nil {
 		return fmt.Errorf("sweep: checkpoint: %w", err)
 	}
-	e.Sum = sum
-	b, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("sweep: checkpoint: %w", err)
-	}
-	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	enabled := j.rec.Enabled()
-	var t0 time.Time
-	if enabled {
-		t0 = time.Now()
+	t0 := time.Now()
+	fsync, err := j.log.Append(b)
+	if err != nil {
+		return fmt.Errorf("sweep: checkpoint: %w", err)
 	}
-	if _, err := j.f.Write(b); err != nil {
-		return fmt.Errorf("sweep: checkpoint %s: %w", j.path, err)
-	}
-	var w time.Time
-	if enabled {
-		w = time.Now()
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("sweep: checkpoint %s: %w", j.path, err)
-	}
-	if enabled {
-		now := time.Now()
-		j.rec.Observe(telemetry.StageCheckpoint, now.Sub(t0))
-		j.rec.Add(telemetry.CheckpointFsyncNanos, uint64(now.Sub(w)))
+	if j.rec.Enabled() {
+		j.rec.Observe(telemetry.StageCheckpoint, time.Since(t0))
+		j.rec.Add(telemetry.CheckpointFsyncNanos, uint64(fsync))
 	}
 	j.done[journalKey(fp, workload)] = e
 	return nil
 }
 
 // Close releases the journal file.
-func (j *Journal) Close() error { return j.f.Close() }
+func (j *Journal) Close() error { return j.log.Close() }
 
 // RequestFingerprint exposes a request's checkpoint fingerprint: the
 // short stable hash of exactly what determines its results (see

@@ -300,7 +300,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 }
 
 // CreateJSONLSink creates (truncating) an event file, making parent
-// directories as needed -- like WriteFileAtomic, so "-events dir/x"
+// directories as needed -- like durable.WriteFile, so "-events dir/x"
 // works before dir exists.
 func CreateJSONLSink(path string) (*JSONLSink, error) {
 	if dir := filepath.Dir(path); dir != "." {

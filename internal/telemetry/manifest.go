@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
+
+	"subcache/internal/durable"
 )
 
 // ManifestVersion is the RUN.json schema version.  Version 2 carries
@@ -103,15 +104,14 @@ func (m *Manifest) Finish(start time.Time, rec *Run) {
 	}
 }
 
-// Write atomically writes the manifest: marshal, write a temp file in
-// the destination directory, rename into place -- so a crashed run
-// never leaves a torn RUN.json.
+// Write atomically writes the manifest (durable.WriteFile), so a
+// crashed run never leaves a torn RUN.json.
 func (m *Manifest) Write(path string) error {
 	b, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("telemetry: manifest: %w", err)
 	}
-	return WriteFileAtomic(path, append(b, '\n'), 0o644)
+	return durable.WriteFile(path, append(b, '\n'), 0o644)
 }
 
 // ReadManifest loads and validates a RUN.json.
@@ -140,46 +140,4 @@ func Fingerprint(parts ...string) string {
 		fmt.Fprintf(h, "%d:%s\n", len(p), p)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
-}
-
-// WriteFileAtomic writes data to path via a temp file, fsync and
-// rename, the same pattern WriteTraceFile uses: the destination is
-// either the old content or the complete new content, never a torn
-// partial write.  The fsync before the rename keeps that true across
-// power loss, not just process crashes.
-func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	if dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }

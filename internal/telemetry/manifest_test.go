@@ -106,27 +106,3 @@ func TestFingerprint(t *testing.T) {
 		t.Error("fingerprint insensitive to part boundaries")
 	}
 }
-
-// TestWriteFileAtomic: creates parent directories, replaces existing
-// content completely, and leaves no temp files behind.
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "sub", "out.json")
-	if err := WriteFileAtomic(path, []byte("first"), 0o644); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := WriteFileAtomic(path, []byte("second"), 0o644); err != nil {
-		t.Fatalf("rewrite: %v", err)
-	}
-	b, err := os.ReadFile(path)
-	if err != nil || string(b) != "second" {
-		t.Fatalf("content = %q, err %v; want \"second\"", b, err)
-	}
-	ents, err := os.ReadDir(filepath.Join(dir, "sub"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Errorf("directory has %d entries, want 1 (temp file left behind?)", len(ents))
-	}
-}
