@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"runtime"
@@ -70,12 +71,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// decodeSweepRequest decodes one POST /v1/sweeps body: a single JSON
+// object of at most 1 MiB with no unknown fields.  w, if non-nil, is
+// told when the body runs over the limit.
+func decodeSweepRequest(w http.ResponseWriter, body io.ReadCloser) (SweepRequest, error) {
+	var wire SweepRequest
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&wire)
+	return wire, err
+}
+
 // handleSubmit decodes, resolves and submits one sweep request.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var wire SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
+	wire, err := decodeSweepRequest(w, r.Body)
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, SubmitResponse{Status: "invalid", Error: err.Error()})
 		return
 	}

@@ -112,6 +112,39 @@ func Key(c cache.Config) cache.Config {
 	return c
 }
 
+// Group splits cfgs into stack groups -- index lists sharing a Key, all
+// Supported -- plus the rest, which need a different engine.  Order is
+// deterministic: groups by first appearance, indexes ascending.
+func Group(cfgs []cache.Config) (groups [][]int, rest []int) {
+	byKey := make(map[cache.Config]int)
+	for i, cfg := range cfgs {
+		if Supported(cfg) != nil {
+			rest = append(rest, i)
+			continue
+		}
+		k := Key(cfg)
+		gi, ok := byKey[k]
+		if !ok {
+			gi = len(groups)
+			byKey[k] = gi
+			groups = append(groups, nil)
+		}
+		groups[gi] = append(groups[gi], i)
+	}
+	return groups, rest
+}
+
+// MaxParts returns the largest set-partition fan-out an engine over cfg
+// may use: its set count, so each partition is a union of whole sets,
+// or 1 under warm start, whose fill progress is global across sets.
+// NewEngine refuses any larger fan-out.
+func MaxParts(cfg cache.Config) uint64 {
+	if cfg.WarmStart {
+		return 1
+	}
+	return uint64(cfg.NumSets())
+}
+
 // lane is one input configuration's private accounting: the sub-block
 // geometry and the Stats.  Its per-block valid/touched/dirty words live
 // on the list nodes (see Engine.bits), not here.
@@ -405,13 +438,11 @@ func NewEngine(cfgs []cache.Config, parts, part uint64) (*Engine, error) {
 		if Key(cfg) != key {
 			return nil, fmt.Errorf("stackdist: %v and %v are not in the same stack group", cfgs[0], cfg)
 		}
-		if parts > 1 {
+		if parts > MaxParts(cfg) {
 			if cfg.WarmStart {
 				return nil, fmt.Errorf("stackdist: %v: warm-start fill progress is global, cannot set-partition", cfg)
 			}
-			if uint64(cfg.NumSets()) < parts {
-				return nil, fmt.Errorf("stackdist: %v: %d sets cannot be split into %d partitions", cfg, cfg.NumSets(), parts)
-			}
+			return nil, fmt.Errorf("stackdist: %v: %d sets cannot be split into %d partitions", cfg, cfg.NumSets(), parts)
 		}
 	}
 	base := cfgs[0]

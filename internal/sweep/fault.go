@@ -169,21 +169,28 @@ func (h *Hooks) wrapSource(workload string, src trace.Source) trace.Source {
 // simUnit is one independently failable simulation unit: a multipass
 // family, a stack-distance engine (one set partition of a stack
 // group), or a single reference cache, plus the grid points it
-// carries.  Exactly one goroutine drives a unit, so no locking is
+// carries.  The planner (plan.go) creates units unbuilt -- kind,
+// indexes, group and partition only -- and build constructs the
+// engine.  Exactly one goroutine drives a unit, so no locking is
 // needed; dead units stop simulating but their stream keeps flowing to
 // the rest.
 type simUnit struct {
+	kind  unitKind
 	fam   *multipass.Family
 	stack *stackdist.Engine
 	cache *cache.Cache
 	idxs  []int   // config indexes into the request's cfgs/points
 	pts   []Point // attributed points, aligned with idxs (nil for RunConfigs)
-	// gid is the stack group id plus one (zero for non-stack units).
-	// Sibling set partitions of one group share a gid and an idxs
-	// slice: their statistics merge at collect time, and one dead
+	// gid is the stack group id, counted from one (zero for non-stack
+	// units).  Sibling set partitions of one group share a gid and an
+	// idxs slice: their statistics merge at collect time, and one dead
 	// sibling poisons the whole group.
-	gid  int
-	dead bool
+	gid int
+	// parts and part select a stack unit's set partition: it sees the
+	// blocks with blk & (parts-1) == part.  Siblings may differ in
+	// parts; together they cover every block exactly once.
+	parts, part uint64
+	dead        bool
 }
 
 // accessBatch feeds one chunk to the unit inside a recovery boundary,
@@ -355,7 +362,7 @@ func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
 
 // unitFailure records one dead unit inside a single-workload executor,
 // before translation into per-point PointErrors.  gid carries the
-// stack group id plus one (zero otherwise) so failures of sibling set
+// unit's stack group id (zero otherwise) so failures of sibling set
 // partitions, which share an index list, can be deduplicated to one
 // attribution per lost point.
 type unitFailure struct {

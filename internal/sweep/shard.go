@@ -32,7 +32,6 @@ import (
 
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
-	"subcache/internal/multipass"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -45,8 +44,8 @@ const chunkRefs = trace.ChunkRefs
 
 // chunkPool and packPool recycle the executors' fixed-size buffers
 // across passes: the chunk ring's chunkRefs-reference buffers (128 KB
-// each, 2*shards+2 per pass) and the packSets' chunkRefs-word packed
-// chunks (64 KB per word granularity per shard).  A sweep runs one
+// each, 2*min(shards, GOMAXPROCS)+2 per pass) and the packSets'
+// chunkRefs-word packed chunks (64 KB per word granularity per shard).  A sweep runs one
 // pass per workload, and a service job's passes are short, so without
 // reuse a pass would allocate its whole ring to stream a few chunks.
 var (
@@ -76,7 +75,7 @@ type shardRunner struct {
 	// Telemetry, accumulated locally (single-writer) and published
 	// once at end of pass: references fed to the shard, references
 	// consumed by its live units, wall time inside processChunk, and
-	// the partitioner's cost estimate for its plan.
+	// the planner's cost estimate for its units.
 	refsFed uint64
 	simRefs uint64
 	busy    time.Duration
@@ -128,27 +127,8 @@ func RunConfigs(ctx context.Context, prof synth.Profile, cfgs []cache.Config, re
 	return runs, nil
 }
 
-// referencePlans gives each configuration its own reference cache,
-// spread round-robin across shards (grid points are near-equal cost).
-func referencePlans(n, shards int) []multipass.ShardPlan {
-	if shards > n {
-		shards = n
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	plans := make([]multipass.ShardPlan, shards)
-	for i := 0; i < n; i++ {
-		s := i % shards
-		plans[s].Rest = append(plans[s].Rest, i)
-	}
-	return plans
-}
-
 // runConfigsSharded is the chunk-broadcast executor.  eng selects how
-// configurations are planned into units: stack-distance engines plus
-// fallbacks (StackDist), multipass families plus fallbacks (MultiPass),
-// or one reference cache per configuration (Reference); points
+// configurations are planned into units (see planShards); points
 // (optional, aligned with cfgs) gives failures their grid-point
 // attribution.
 //
@@ -167,17 +147,33 @@ func referencePlans(n, shards int) []multipass.ShardPlan {
 //     and the group's points are attributed exactly once.
 func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, continueOnError bool, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, ok []bool, failed []unitFailure, err error) {
 	enabled := rec.Enabled()
-	lists, costs, failed := shardUnitLists(eng, cfgs, points, shards)
+	lists := planShards(eng, cfgs, shards)
+
+	// The ring holds two chunks per shard that can run at once, plus
+	// slack: more shards than GOMAXPROCS only take turns, so sizing it
+	// from the requested count would pin buffers no worker can use.
+	nbuf := 2*min(len(lists), runtime.GOMAXPROCS(0)) + 2
+	runners := make([]*shardRunner, len(lists))
+	total := 0
+	for si, units := range lists {
+		rn := &shardRunner{shard: si, in: make(chan *chunk, nbuf)}
+		for _, u := range units {
+			rn.estCost += u.cost()
+			if berr := u.build(cfgs, points); berr != nil {
+				failed = append(failed, unitFailure{idxs: u.idxs, shard: si, gid: u.gid, cause: berr})
+				continue
+			}
+			rn.units = append(rn.units, u)
+		}
+		rn.live = len(rn.units)
+		runners[si] = rn
+		total += rn.live
+	}
 	if len(failed) > 0 && !continueOnError {
 		return nil, nil, failed[:1], nil
 	}
-
-	runners := make([]*shardRunner, len(lists))
-	nbuf := 2*len(lists) + 2
-	total := 0
-	for si, units := range lists {
-		runners[si] = &shardRunner{shard: si, units: units, live: len(units), in: make(chan *chunk, nbuf), estCost: costs[si], packs: newPackSet(units)}
-		total += len(units)
+	for _, rn := range runners {
+		rn.packs = newPackSet(rn.units)
 	}
 	// Every return comes before the workers start or after they exit.
 	defer func() {

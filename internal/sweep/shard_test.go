@@ -308,3 +308,39 @@ func TestShardedParallelismInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestShardRingSizedFromRunnableShards: the chunk ring holds buffers
+// for the shards that can run at once, not for the requested count.
+// A Reference sweep of the 129-point seven-net grid at Shards: 1024
+// plans 129 shards; with two CPUs only two run at a time, so the pass
+// needs a handful of 128 KB chunk buffers, not 2*129+2 of them.
+func TestShardRingSizedFromRunnableShards(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	req := Request{
+		Arch:      synth.PDP11,
+		Points:    Grid([]int{32, 64, 128, 256, 512, 1024, 2048}, 2),
+		Refs:      20000,
+		Workloads: []string{synth.Workloads(synth.PDP11)[0].Name},
+		Engine:    Reference,
+		Shards:    MaxShards,
+	}
+	if len(req.Points) != 129 {
+		t.Fatalf("grid has %d points, want 129", len(req.Points))
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Summaries) != len(req.Points) {
+		t.Fatalf("%d of %d points done", len(res.Summaries), len(req.Points))
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("sweep allocated %.1f MB", float64(alloc)/(1<<20))
+	if alloc >= 8<<20 {
+		t.Errorf("sweep allocated %.1f MB, want < 8 MB", float64(alloc)/(1<<20))
+	}
+}

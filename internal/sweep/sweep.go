@@ -23,8 +23,6 @@ import (
 
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
-	"subcache/internal/multipass"
-	"subcache/internal/stackdist"
 	"subcache/internal/synth"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
@@ -169,11 +167,13 @@ func (p Point) Config(arch synth.Arch) cache.Config {
 	}
 }
 
-// MaxShards bounds Request.Shards.  The planners size their shard
-// tables from the requested count, so an unchecked value from an
-// untrusted caller could exhaust memory before any simulation starts.
-// It is the telemetry recorder's shard-table size, so every shard
-// worker a sweep can run has its own telemetry cell.
+// MaxShards bounds Request.Shards.  The planner uses no more shards
+// than it has units and the chunk ring is sized from the shards that
+// can run at once, but the auto shard count and the telemetry
+// recorder's shard table still scale with the request, so the value
+// from an untrusted caller is checked.  It is the recorder's
+// shard-table size, so every shard worker a sweep can run has its own
+// telemetry cell.
 const MaxShards = telemetry.MaxShards
 
 // Request describes one sweep.
@@ -554,138 +554,6 @@ func pointConfig(p Point, req Request) cache.Config {
 		req.Override(&cfg)
 	}
 	return cfg
-}
-
-// shardUnitLists realises an engine's plan over cfgs as per-shard unit
-// lists plus the planner's per-shard cost estimates, attributing
-// construction failures to the owning shard index.  Lists may number
-// fewer than shards when the planner cannot fill them all.
-func shardUnitLists(eng Engine, cfgs []cache.Config, points []Point, shards int) (lists [][]*simUnit, costs []int, failed []unitFailure) {
-	switch eng {
-	case StackDist:
-		// Stack groups fan out across shards by set partitioning;
-		// configurations stack analysis refuses (stackdist.Supported)
-		// ride the same pass on multipass families or reference caches,
-		// planned over the leftover indexes and remapped back.
-		splans, rest := stackdist.Partition(cfgs, shards)
-		var mplans []multipass.ShardPlan
-		if len(rest) > 0 {
-			restCfgs := make([]cache.Config, len(rest))
-			for i, k := range rest {
-				restCfgs[i] = cfgs[k]
-			}
-			mplans = multipass.PartitionShards(restCfgs, shards)
-			for pi := range mplans {
-				for _, idxs := range mplans[pi].Families {
-					for j, k := range idxs {
-						idxs[j] = rest[k]
-					}
-				}
-				for j, k := range mplans[pi].Rest {
-					mplans[pi].Rest[j] = rest[k]
-				}
-			}
-		}
-		n := len(splans)
-		if len(mplans) > n {
-			n = len(mplans)
-		}
-		lists = make([][]*simUnit, n)
-		costs = make([]int, n)
-		for si := 0; si < n; si++ {
-			if si < len(splans) {
-				us, fs := planStackUnits(splans[si], cfgs, points, si)
-				lists[si] = append(lists[si], us...)
-				failed = append(failed, fs...)
-				costs[si] += splans[si].Cost()
-			}
-			if si < len(mplans) {
-				us, fs := planUnits(mplans[si], cfgs, points, si)
-				lists[si] = append(lists[si], us...)
-				failed = append(failed, fs...)
-				costs[si] += mplans[si].Cost()
-			}
-		}
-	case MultiPass:
-		plans := multipass.PartitionShards(cfgs, shards)
-		lists = make([][]*simUnit, len(plans))
-		costs = make([]int, len(plans))
-		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, si)
-			lists[si] = us
-			failed = append(failed, fs...)
-			costs[si] = plan.Cost()
-		}
-	default: // Reference
-		plans := referencePlans(len(cfgs), shards)
-		lists = make([][]*simUnit, len(plans))
-		costs = make([]int, len(plans))
-		for si, plan := range plans {
-			us, fs := planUnits(plan, cfgs, points, si)
-			lists[si] = us
-			failed = append(failed, fs...)
-			costs[si] = plan.Cost()
-		}
-	}
-	return lists, costs, failed
-}
-
-// planStackUnits realises one shard's stack units -- each a set
-// partition of one stack group -- attributing construction failures to
-// the given shard.
-func planStackUnits(plan stackdist.Plan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
-	for _, u := range plan.Units {
-		ucfgs := make([]cache.Config, len(u.Idxs))
-		for j, k := range u.Idxs {
-			ucfgs[j] = cfgs[k]
-		}
-		e, err := stackdist.NewEngine(ucfgs, u.Parts, u.Part)
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: u.Idxs, shard: shard, gid: u.Gid + 1, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{stack: e, idxs: u.Idxs, pts: unitPoints(points, u.Idxs), gid: u.Gid + 1})
-	}
-	return units, failed
-}
-
-// planUnits realises one shard plan's families and fallback caches as
-// simUnits, attributing construction failures to the given shard.
-func planUnits(plan multipass.ShardPlan, cfgs []cache.Config, points []Point, shard int) (units []*simUnit, failed []unitFailure) {
-	for _, idxs := range plan.Families {
-		fcfgs := make([]cache.Config, len(idxs))
-		for j, k := range idxs {
-			fcfgs[j] = cfgs[k]
-		}
-		fam, err := multipass.New(fcfgs)
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: idxs, shard: shard, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{fam: fam, idxs: idxs, pts: unitPoints(points, idxs)})
-	}
-	for _, k := range plan.Rest {
-		c, err := cache.New(cfgs[k])
-		if err != nil {
-			failed = append(failed, unitFailure{idxs: []int{k}, shard: shard, cause: err})
-			continue
-		}
-		units = append(units, &simUnit{cache: c, idxs: []int{k}, pts: unitPoints(points, []int{k})})
-	}
-	return units, failed
-}
-
-// unitPoints resolves the points a unit carries; nil when the caller
-// has no point vocabulary (RunConfigs).
-func unitPoints(points []Point, idxs []int) []Point {
-	if points == nil {
-		return nil
-	}
-	pts := make([]Point, len(idxs))
-	for j, k := range idxs {
-		pts[j] = points[k]
-	}
-	return pts
 }
 
 // selectWorkloads resolves the request's workload list.

@@ -113,13 +113,15 @@ type PointDone struct {
 type ShardStat struct {
 	Workload string `json:"workload"`
 	Shard    int    `json:"shard"`
-	// Units is the number of simulation units (families + fallback
-	// caches) the shard owned; Lanes counts their configurations.
+	// Units is the number of simulation units (multipass families,
+	// stack-distance set partitions and reference caches) the shard
+	// owned; Lanes counts their configurations.
 	Units int `json:"units"`
 	Lanes int `json:"lanes"`
-	// EstCost is the partitioner's per-access cost estimate for the
-	// shard's plan; compare across shards against BusyMS to judge the
-	// balance heuristic.
+	// EstCost is the shard planner's per-access cost estimate summed
+	// over the shard's units -- one scale for every unit kind, so it
+	// compares across shards and engines; set it against BusyMS to
+	// judge the balance heuristic.
 	EstCost int `json:"est_cost"`
 	// Refs is the number of trace references fed to the shard.
 	Refs uint64 `json:"refs"`
