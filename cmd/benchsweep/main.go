@@ -101,7 +101,7 @@ type engineResult struct {
 	// KernelHitNs and KernelMissNs microbenchmark the engine kernel
 	// directly (no sweep harness): ns per access on a steady-state
 	// resident block and on a conflict stream that evicts on every
-	// reference.  See kernel.go for the exact geometry and streams.
+	// reference.  See internal/kernelbench for the exact geometry and streams.
 	KernelHitNs  float64 `json:"kernel_hit_ns"`
 	KernelMissNs float64 `json:"kernel_miss_ns"`
 }
@@ -246,7 +246,7 @@ func main() {
 		if err := verifyShardIdentity(ctx, netSizes, *refs); err != nil {
 			die("benchsweep: verify:", err)
 		}
-		fmt.Printf("verify ok: multipass and stackdist at shards=1 and shards=%d agree with the reference engine on every counter\n", runtime.NumCPU())
+		fmt.Printf("verify ok: multipass and stackdist at shards=1, %d and 32 agree with the reference engine on every counter\n", runtime.NumCPU())
 	}
 
 	if *checkpoint != "" {
@@ -437,9 +437,11 @@ func timeSweep(ctx context.Context, netSizes []int, refs int, base sweep.Request
 // verifyShardIdentity proves the single-pass engines exact on the full
 // grid: for every architecture, the Reference engine's per-point
 // results (the oracle: one cache.Cache per point) must be matched
-// bit-for-bit by MultiPass and StackDist at shards=1 and NumCPU --
+// bit-for-bit by MultiPass and StackDist at shards=1, NumCPU and 32 --
 // every run and summary identical, and the StackDist sweeps making
-// exactly one trace pass per workload.
+// exactly one trace pass per workload.  At 32 shards families split
+// and stack groups fan out into set partitions, so the executor's merge
+// of a group's partitions is checked on the full grid.
 func verifyShardIdentity(ctx context.Context, netSizes []int, refs int) error {
 	for _, a := range synth.AllArchs() {
 		base := sweep.Request{
@@ -451,7 +453,7 @@ func verifyShardIdentity(ctx context.Context, netSizes []int, refs int) error {
 			return fmt.Errorf("%s baseline: %w", a, err)
 		}
 		for _, eng := range []sweep.Engine{sweep.MultiPass, sweep.StackDist} {
-			for _, s := range []int{1, runtime.NumCPU()} {
+			for _, s := range []int{1, runtime.NumCPU(), 32} {
 				req := base
 				req.Engine = eng
 				req.Shards = s

@@ -632,15 +632,11 @@ func (f *Family) AccessBatch(refs []trace.Ref) {
 // AccessBatchPacked is AccessBatch for a caller that already holds the
 // chunk in trace.PackRefs form at this family's word granularity
 // (packed[i] = uint64(refs[i].Addr)>>log2(WordSize)<<2 |
-// uint64(refs[i].Kind)).  The sweep executors pack each broadcast
-// chunk once and share it across every family of the workload.
+// uint64(refs[i].Kind)).  Each shard worker of the sweep executor
+// packs a broadcast chunk once and shares it across every unit it runs.
 func (f *Family) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 	f.accessPacked(refs, packed)
 }
-
-// WordSize returns the family's word size in bytes, the granularity
-// AccessBatchPacked's packed form must be built with.
-func (f *Family) WordSize() int { return f.base.WordSize }
 
 func (f *Family) accessPacked(refs []trace.Ref, packed []uint64) {
 	if f.nPlanes != 1 || (f.base.Replacement == cache.LRU && f.assoc > 4) {

@@ -1054,14 +1054,10 @@ func (e *Engine) AccessBatch(refs []trace.Ref) {
 	}
 }
 
-// WordSize returns the group's shared word size in bytes, the
-// granularity for trace.PackRefs.
-func (e *Engine) WordSize() int { return e.lanes[0].cfg.WordSize }
-
 // AccessBatchPacked is AccessBatch taking the chunk's packed form
 // (trace.PackRefs at the engine's word granularity) alongside, so the
-// per-reference decode is one load and two shifts; the sweep executors
-// share one packing pass across every engine of a workload.
+// per-reference decode is one load and two shifts; each shard worker
+// of the sweep executor packs a chunk once for every unit it runs.
 func (e *Engine) AccessBatchPacked(refs []trace.Ref, packed []uint64) {
 	_ = packed[:len(refs)]
 	baShift := 2 + e.blockShift - e.wordShift

@@ -4,10 +4,11 @@
 // A million-reference grid sweep is only trustworthy if partial
 // failures are detected and attributed rather than silently absorbed --
 // or worse, if one corrupt trace byte or one panicking worker discards
-// the whole grid.  Every simulation unit (a multipass family or a
-// fallback reference cache) therefore runs its per-chunk work inside a
-// recovery boundary: a panic becomes a PanicError, which is wrapped in
-// a PointError naming the exact workload, point and shard that died.
+// the whole grid.  Every simulation unit (a multipass family, a stack
+// partition or a reference cache) therefore runs its per-chunk work
+// inside a recovery boundary: a panic becomes a PanicError, which is
+// wrapped in a PointError naming the exact workload, point and shard
+// that died.
 // Under the default fail-fast policy the first PointError aborts the
 // sweep (as before, but without crashing the process); under
 // Request.ContinueOnError the dead unit is retired, its points are
@@ -22,11 +23,7 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"subcache/internal/addr"
 	"subcache/internal/cache"
-	"subcache/internal/metrics"
-	"subcache/internal/multipass"
-	"subcache/internal/stackdist"
 	"subcache/internal/telemetry"
 	"subcache/internal/trace"
 )
@@ -166,25 +163,45 @@ func (h *Hooks) wrapSource(workload string, src trace.Source) trace.Source {
 	return h.WrapSource(workload, src)
 }
 
-// simUnit is one independently failable simulation unit: a multipass
-// family, a stack-distance engine (one set partition of a stack
-// group), or a single reference cache, plus the grid points it
-// carries.  The planner (plan.go) creates units unbuilt -- kind,
-// indexes, group and partition only -- and build constructs the
-// engine.  Exactly one goroutine drives a unit, so no locking is
-// needed; dead units stop simulating but their stream keeps flowing to
-// the rest.
+// kernel is what the executor drives in every simulation unit: a
+// multipass.Family, a stackdist.Engine (one set partition of a stack
+// group) or, through refKernel, one cache.Cache.  Lane j of the kernel
+// is the unit's j-th configuration.
+type kernel interface {
+	// AccessBatchPacked feeds one chunk; packed is the chunk in
+	// trace.PackRefs form at the pass's word granularity.
+	AccessBatchPacked(refs []trace.Ref, packed []uint64)
+	// FlushUsage finalises the statistics at end of trace.
+	FlushUsage()
+	Stats(j int) *cache.Stats
+	Config(j int) cache.Config
+}
+
+// refKernel adapts one reference cache to kernel: it has one lane and
+// reads the plain references, not their packed form.
+type refKernel struct{ c *cache.Cache }
+
+func (k refKernel) AccessBatchPacked(refs []trace.Ref, _ []uint64) { k.c.AccessBatch(refs) }
+func (k refKernel) FlushUsage()                                    { k.c.FlushUsage() }
+func (k refKernel) Stats(int) *cache.Stats                         { return k.c.Stats() }
+func (k refKernel) Config(int) cache.Config                        { return k.c.Config() }
+
+// simUnit is one independently failable simulation unit: one kernel
+// plus the grid points it carries.  The planner (plan.go) creates units
+// unbuilt -- kind, indexes, group and partition only -- and build
+// constructs the kernel.  Exactly one goroutine drives a unit, so no
+// locking is needed; dead units stop simulating but their stream keeps
+// flowing to the rest.
 type simUnit struct {
-	kind  unitKind
-	fam   *multipass.Family
-	stack *stackdist.Engine
-	cache *cache.Cache
-	idxs  []int   // config indexes into the request's cfgs/points
-	pts   []Point // attributed points, aligned with idxs (nil for RunConfigs)
-	// gid is the stack group id, counted from one (zero for non-stack
-	// units).  Sibling set partitions of one group share a gid and an
-	// idxs slice: their statistics merge at collect time, and one dead
-	// sibling poisons the whole group.
+	kind unitKind
+	k    kernel
+	idxs []int   // config indexes into the request's cfgs/points
+	pts  []Point // attributed points, aligned with idxs (nil for RunConfigs)
+	// gid is the unit's group id, counted from one.  A family or
+	// reference cache is a group of its own; the set partitions of one
+	// stack group share a gid and an idxs slice.  The partitions'
+	// statistics merge at flush time, and one dead partition poisons
+	// the whole group.
 	gid int
 	// parts and part select a stack unit's set partition: it sees the
 	// blocks with blk & (parts-1) == part.  Siblings may differ in
@@ -193,11 +210,9 @@ type simUnit struct {
 	dead        bool
 }
 
-// accessBatch feeds one chunk to the unit inside a recovery boundary,
-// calling the BeforeUnit hook (if any) inside the same boundary.
-// packed, when non-nil, is the chunk in trace.PackRefs form at the
-// unit's word granularity (see packSet); units that cannot consume it
-// receive nil and fall back to the plain batch entry point.
+// accessBatch feeds one chunk and its packed form to the unit inside a
+// recovery boundary, calling the BeforeUnit hook (if any) inside the
+// same boundary.
 func (u *simUnit) accessBatch(refs []trace.Ref, packed []uint64, hooks *Hooks, workload string, shard, chunk int) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -207,164 +222,14 @@ func (u *simUnit) accessBatch(refs []trace.Ref, packed []uint64, hooks *Hooks, w
 	if hooks != nil && hooks.BeforeUnit != nil {
 		hooks.BeforeUnit(workload, shard, u.pts, chunk)
 	}
-	switch {
-	case u.fam != nil:
-		if packed != nil {
-			u.fam.AccessBatchPacked(refs, packed)
-		} else {
-			u.fam.AccessBatch(refs)
-		}
-	case u.stack != nil:
-		if packed != nil {
-			u.stack.AccessBatchPacked(refs, packed)
-		} else {
-			u.stack.AccessBatch(refs)
-		}
-	default:
-		u.cache.AccessBatch(refs)
-	}
-	return nil
-}
-
-// packSet shares one trace.PackRefs pass per broadcast chunk across
-// every multipass family and stack engine a shard runner drives: the
-// engines spend a real share of their per-reference budget re-deriving
-// the word index and access kind from the 16-byte Ref, and the packed
-// form is geometry-free, so one buffer per word granularity (in
-// practice one per workload) serves all of them.  Not safe for
-// concurrent use; each shard runner owns its own.
-type packSet struct {
-	shifts []uint
-	bufs   [][]uint64
-	done   []bool
-}
-
-// unitWordShift returns the unit's packing granularity, or -1 if the
-// unit does not consume packed chunks.
-func unitWordShift(u *simUnit) int {
-	switch {
-	case u.fam != nil:
-		return int(addr.Log2(uint64(u.fam.WordSize())))
-	case u.stack != nil:
-		return int(addr.Log2(uint64(u.stack.WordSize())))
-	}
-	return -1
-}
-
-// newPackSet returns a packSet covering the word granularities of the
-// units' multipass families and stack engines, or nil if none can
-// consume packed chunks.
-func newPackSet(units []*simUnit) *packSet {
-	var ps *packSet
-	for _, u := range units {
-		ws := unitWordShift(u)
-		if ws < 0 {
-			continue
-		}
-		shift := uint(ws)
-		if ps == nil {
-			ps = &packSet{}
-		}
-		if !ps.has(shift) {
-			ps.shifts = append(ps.shifts, shift)
-			ps.bufs = append(ps.bufs, *packPool.Get().(*[]uint64))
-			ps.done = append(ps.done, false)
-		}
-	}
-	return ps
-}
-
-// release returns the set's chunk-sized buffers to packPool for the
-// next pass; the set must not be used afterwards.
-func (ps *packSet) release() {
-	if ps == nil {
-		return
-	}
-	for i, b := range ps.bufs {
-		if len(b) == trace.ChunkRefs {
-			packPool.Put(&b)
-		}
-		ps.bufs[i] = nil
-	}
-}
-
-func (ps *packSet) has(shift uint) bool {
-	for _, s := range ps.shifts {
-		if s == shift {
-			return true
-		}
-	}
-	return false
-}
-
-// next invalidates every cached buffer; the shard runner calls it at
-// each chunk boundary before re-feeding its units.
-func (ps *packSet) next() {
-	if ps == nil {
-		return
-	}
-	for i := range ps.done {
-		ps.done[i] = false
-	}
-}
-
-// forUnit returns the shared packed form of refs for u, packing it on
-// first use within the current chunk, or nil if u does not consume one.
-func (ps *packSet) forUnit(u *simUnit, refs []trace.Ref) []uint64 {
-	if ps == nil {
-		return nil
-	}
-	ws := unitWordShift(u)
-	if ws < 0 {
-		return nil
-	}
-	shift := uint(ws)
-	for i, s := range ps.shifts {
-		if s != shift {
-			continue
-		}
-		if len(refs) > len(ps.bufs[i]) {
-			ps.bufs[i] = make([]uint64, len(refs))
-			ps.done[i] = false
-		}
-		if !ps.done[i] {
-			trace.PackRefs(ps.bufs[i], refs, shift)
-			ps.done[i] = true
-		}
-		return ps.bufs[i][:len(refs)]
-	}
-	return nil
-}
-
-// collect finalises a family or reference-cache unit and writes its
-// runs into runs (indexed by config index), inside a recovery boundary
-// of its own: a panic while flushing loses only this unit's points.
-// Stack units never collect alone -- the executor merges sibling set
-// partitions per group.
-func (u *simUnit) collect(traceName string, runs []metrics.Run) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = &PanicError{Value: v, Stack: debug.Stack()}
-		}
-	}()
-	switch {
-	case u.fam != nil:
-		u.fam.FlushUsage()
-		for j, k := range u.idxs {
-			runs[k] = metrics.NewRun(traceName, u.fam.Config(j), u.fam.Stats(j))
-		}
-	default:
-		u.cache.FlushUsage()
-		runs[u.idxs[0]] = metrics.NewRun(traceName, u.cache.Config(), u.cache.Stats())
-	}
+	u.k.AccessBatchPacked(refs, packed)
 	return nil
 }
 
 // unitFailure records one dead unit inside a single-workload executor,
 // before translation into per-point PointErrors.  gid carries the
-// unit's stack group id (zero otherwise) so failures of sibling set
-// partitions, which share an index list, can be deduplicated to one
-// attribution per lost point.
+// unit's group id so failures of sibling set partitions, which share an
+// index list, can be deduplicated to one attribution per lost point.
 type unitFailure struct {
 	idxs  []int
 	shard int

@@ -49,14 +49,16 @@ func planShards(eng Engine, cfgs []cache.Config, shards int) [][]*simUnit {
 		if best < 0 {
 			break
 		}
-		units = append(units, units[best].split())
+		// Every gid is at most len(units), so len(units)+1 is fresh for
+		// a split family's new group.
+		units = append(units, units[best].split(len(units)+1))
 	}
 	return packUnits(units, shards)
 }
 
 // groupUnits gives each configuration its unit in one pass, in order of
-// first appearance.  Stack units get dense group ids from 1 (see
-// simUnit.gid) and start unpartitioned.
+// first appearance.  Units get dense group ids from 1 (see simUnit.gid)
+// and start unpartitioned.
 func groupUnits(eng Engine, cfgs []cache.Config) []*simUnit {
 	type groupKey struct {
 		kind unitKind
@@ -64,7 +66,6 @@ func groupUnits(eng Engine, cfgs []cache.Config) []*simUnit {
 	}
 	var units []*simUnit
 	byKey := make(map[groupKey]*simUnit)
-	gids := 0
 	for i, cfg := range cfgs {
 		var k groupKey
 		switch {
@@ -73,16 +74,12 @@ func groupUnits(eng Engine, cfgs []cache.Config) []*simUnit {
 		case eng != Reference && cfg.MultiPassSafe():
 			k = groupKey{familyUnit, cfg.FamilyKey()}
 		default:
-			units = append(units, &simUnit{kind: referenceUnit, idxs: []int{i}})
+			units = append(units, &simUnit{kind: referenceUnit, idxs: []int{i}, gid: len(units) + 1})
 			continue
 		}
 		u := byKey[k]
 		if u == nil {
-			u = &simUnit{kind: k.kind, parts: 1}
-			if k.kind == stackUnit {
-				gids++
-				u.gid = gids
-			}
+			u = &simUnit{kind: k.kind, parts: 1, gid: len(units) + 1}
 			byKey[k] = u
 			units = append(units, u)
 		}
@@ -125,14 +122,15 @@ func (u *simUnit) splittable(cfgs []cache.Config) bool {
 }
 
 // split halves u in place and returns the other half.  A family keeps
-// its first half of the lanes; any subset of a family is itself a
-// family, because lane state is private.  A stack unit (P, p) becomes
-// (2P, p) and returns (2P, p+P): the two cover exactly the blocks that
+// its first half of the lanes and the other half becomes a family of
+// group gid; any subset of a family is itself a family, because lane
+// state is private.  A stack unit (P, p) becomes (2P, p) and returns
+// (2P, p+P) in the same group: the two cover exactly the blocks that
 // (P, p) did, so the group's partitions still sum to its whole stream.
-func (u *simUnit) split() *simUnit {
+func (u *simUnit) split(gid int) *simUnit {
 	if u.kind == familyUnit {
 		mid := len(u.idxs) / 2
-		v := &simUnit{kind: familyUnit, idxs: u.idxs[mid:]}
+		v := &simUnit{kind: familyUnit, idxs: u.idxs[mid:], gid: gid}
 		u.idxs = u.idxs[:mid]
 		return v
 	}
@@ -172,7 +170,7 @@ func packUnits(units []*simUnit, shards int) [][]*simUnit {
 	return lists
 }
 
-// build constructs the unit's engine over its configurations and
+// build constructs the unit's kernel over its configurations and
 // resolves its attributed points (nil when points is nil).
 func (u *simUnit) build(cfgs []cache.Config, points []Point) (err error) {
 	ucfgs := make([]cache.Config, len(u.idxs))
@@ -181,11 +179,13 @@ func (u *simUnit) build(cfgs []cache.Config, points []Point) (err error) {
 	}
 	switch u.kind {
 	case familyUnit:
-		u.fam, err = multipass.New(ucfgs)
+		u.k, err = multipass.New(ucfgs)
 	case stackUnit:
-		u.stack, err = stackdist.NewEngine(ucfgs, u.parts, u.part)
+		u.k, err = stackdist.NewEngine(ucfgs, u.parts, u.part)
 	default:
-		u.cache, err = cache.New(ucfgs[0])
+		var c *cache.Cache
+		c, err = cache.New(ucfgs[0])
+		u.k = refKernel{c}
 	}
 	if points != nil {
 		u.pts = make([]Point, len(u.idxs))

@@ -385,10 +385,12 @@ func TestPartitionMixedFanOutMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]trace.Ref, chunkRefs)
+	packed := make([]uint64, chunkRefs)
 	for {
 		n, rerr := trace.ReadChunk(src, buf)
+		trace.PackRefs(packed[:n], buf[:n], 1)
 		for _, u := range append([]*simUnit{whole}, sibs...) {
-			if err := u.accessBatch(buf[:n], nil, nil, prof.Name, 0, 0); err != nil {
+			if err := u.accessBatch(buf[:n], packed[:n], nil, prof.Name, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -396,16 +398,16 @@ func TestPartitionMixedFanOutMerges(t *testing.T) {
 			break
 		}
 	}
-	whole.stack.FlushUsage()
+	whole.k.FlushUsage()
 	for _, u := range sibs {
-		u.stack.FlushUsage()
+		u.k.FlushUsage()
 	}
 	for j := range cfgs {
 		var sum cache.Stats
 		for _, u := range sibs {
-			sum.Add(u.stack.Stats(j))
+			sum.Add(u.k.Stats(j))
 		}
-		if want := whole.stack.Stats(j); !reflect.DeepEqual(sum, *want) {
+		if want := whole.k.Stats(j); !reflect.DeepEqual(sum, *want) {
 			t.Errorf("%v: merged partitions %+v, unpartitioned %+v", cfgs[j], sum, *want)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subcache/internal/addr"
 	"subcache/internal/cache"
 	"subcache/internal/metrics"
 	"subcache/internal/synth"
@@ -42,12 +43,14 @@ import (
 // sizing rationale).
 const chunkRefs = trace.ChunkRefs
 
-// chunkPool and packPool recycle the executors' fixed-size buffers
-// across passes: the chunk ring's chunkRefs-reference buffers (128 KB
-// each, 2*min(shards, GOMAXPROCS)+2 per pass) and the packSets'
-// chunkRefs-word packed chunks (64 KB per word granularity per shard).  A sweep runs one
-// pass per workload, and a service job's passes are short, so without
-// reuse a pass would allocate its whole ring to stream a few chunks.
+// chunkPool recycles the chunk ring's chunkRefs-reference buffers
+// (128 KB each, 2*min(shards, GOMAXPROCS)+2 per pass) across passes: a
+// sweep runs one pass per workload, and a service job's passes are
+// short, so without reuse a pass would allocate its whole ring to
+// stream a few chunks.  packPool holds the chunkRefs-word buffers (64 KB
+// each) a shard worker packs one chunk into; a worker holds one only
+// while it simulates that chunk, so at most one exists per worker that
+// is running.
 var (
 	chunkPool = sync.Pool{New: func() any { b := make([]trace.Ref, chunkRefs); return &b }}
 	packPool  = sync.Pool{New: func() any { b := make([]uint64, chunkRefs); return &b }}
@@ -70,7 +73,7 @@ type shardRunner struct {
 	live  int // units not yet dead
 	chunk int // next chunk index (identical across shards)
 	in    chan *chunk
-	packs *packSet // per-runner shared packed-chunk cache
+	pack  bool // some unit reads packed chunks (every unit but a reference cache)
 
 	// Telemetry, accumulated locally (single-writer) and published
 	// once at end of pass: references fed to the shard, references
@@ -100,10 +103,8 @@ func RunConfigs(ctx context.Context, prof synth.Profile, cfgs []cache.Config, re
 		return nil, fmt.Errorf("sweep: no configurations")
 	}
 	ws := cfgs[0].WordSize
-	for i, c := range cfgs {
-		if c.WordSize != ws {
-			return nil, fmt.Errorf("sweep: cfgs[%d].WordSize = %d, want %d (configurations must share one word-split trace)", i, c.WordSize, ws)
-		}
+	if err := checkWordSize(cfgs, ws); err != nil {
+		return nil, err
 	}
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -141,8 +142,8 @@ func RunConfigs(ctx context.Context, prof synth.Profile, cfgs []cache.Config, re
 //     from the unit, its hooks, or its whole shard).  Under fail-fast
 //     (continueOnError false) the first failure stops the pass and runs
 //     is nil; under continueOnError survivors complete the full stream
-//     and ok[i] marks which runs are valid.  A dead stack unit poisons
-//     its whole group -- sibling set partitions cover disjoint set
+//     and ok[i] marks which runs are valid.  A dead unit poisons its
+//     whole group -- sibling stack partitions cover disjoint set
 //     spaces, so a group with a lost partition has no complete point --
 //     and the group's points are attributed exactly once.
 func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Config, points []Point, refs, wordSize, shards int, eng Engine, continueOnError bool, hooks *Hooks, rec telemetry.Recorder) (runs []metrics.Run, ok []bool, failed []unitFailure, err error) {
@@ -164,6 +165,7 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 				continue
 			}
 			rn.units = append(rn.units, u)
+			rn.pack = rn.pack || u.kind != referenceUnit
 		}
 		rn.live = len(rn.units)
 		runners[si] = rn
@@ -172,18 +174,11 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	if len(failed) > 0 && !continueOnError {
 		return nil, nil, failed[:1], nil
 	}
-	for _, rn := range runners {
-		rn.packs = newPackSet(rn.units)
-	}
-	// Every return comes before the workers start or after they exit.
-	defer func() {
-		for _, rn := range runners {
-			rn.packs.release()
-		}
-	}()
 	if total == 0 {
 		return make([]metrics.Run, len(cfgs)), make([]bool, len(cfgs)), dedupGroupFailures(failed), nil
 	}
+	// Some unit was built, so wordSize passed validation.
+	shift := addr.Log2(uint64(wordSize))
 
 	src, err := synth.NewWordSource(prof, refs, wordSize)
 	if err != nil {
@@ -315,11 +310,11 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 				if ictx.Err() == nil && rn.live > 0 {
 					if enabled {
 						t0 := time.Now()
-						rn.processChunk(ck.refs, prof.Name, hooks, fail)
+						rn.processChunk(ck.refs, shift, prof.Name, hooks, fail)
 						rn.busy += time.Since(t0)
 						rn.refsFed += uint64(len(ck.refs))
 					} else {
-						rn.processChunk(ck.refs, prof.Name, hooks, fail)
+						rn.processChunk(ck.refs, shift, prof.Name, hooks, fail)
 					}
 				}
 				if ck.left.Add(-1) == 0 {
@@ -381,53 +376,31 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	}
 	fsp := telemetry.StartSpan(rec, telemetry.Span{Name: "flush", Parent: parentSpan, Workload: prof.Name})
 	defer fsp.End()
-	var families, stackUnits uint64
-	runs = make([]metrics.Run, len(cfgs))
-	ok = make([]bool, len(cfgs))
-	for _, rn := range runners {
-		for _, u := range rn.units {
-			if u.dead || u.stack != nil {
-				continue
-			}
-			if uerr := u.collect(prof.Name, runs); uerr != nil {
-				failed = append(failed, unitFailure{idxs: u.idxs, shard: rn.shard, cause: uerr})
-				if !continueOnError {
-					return nil, nil, failed[len(failed)-1:], nil
-				}
-				continue
-			}
-			if u.fam != nil {
-				families++
-			}
-			for _, k := range u.idxs {
-				ok[k] = true
-			}
-		}
-	}
-
-	// Stack units merge by group: sibling set partitions hold disjoint
-	// slices of each configuration's counters (every flushed counter is
-	// a per-partition linear sum), so adding them reconstructs the
-	// whole-stream statistics exactly.  A group with any dead sibling is
-	// poisoned -- a partial merge would silently undercount -- and its
-	// points are attributed through the recorded failure instead.
+	// Every unit is a partition of its group: a family or reference
+	// cache is the only partition of its own group, and the set
+	// partitions of a stack group hold disjoint slices of each of its
+	// configurations' counters.  Every flushed counter is a
+	// per-partition linear sum, so adding the partitions' statistics
+	// reconstructs the whole-stream statistics exactly.  A group with
+	// any dead partition is poisoned -- a partial merge would silently
+	// undercount -- and its points are attributed through the recorded
+	// failure instead.
 	deadG := make(map[int]bool)
 	for _, f := range failed {
-		if f.gid > 0 {
-			deadG[f.gid] = true
-		}
+		deadG[f.gid] = true
 	}
-	type stackGroup struct {
+	type group struct {
 		first *simUnit
 		stats []cache.Stats
 	}
-	groups := make(map[int]*stackGroup)
+	groups := make(map[int]*group)
+	var families, stackUnits uint64
 	for _, rn := range runners {
 		for _, u := range rn.units {
-			if u.stack == nil || u.dead || deadG[u.gid] {
+			if u.dead || deadG[u.gid] {
 				continue
 			}
-			if uerr := safeCall(u.stack.FlushUsage); uerr != nil {
+			if uerr := safeCall(u.k.FlushUsage); uerr != nil {
 				failed = append(failed, unitFailure{idxs: u.idxs, shard: rn.shard, gid: u.gid, cause: uerr})
 				deadG[u.gid] = true
 				if !continueOnError {
@@ -435,23 +408,30 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 				}
 				continue
 			}
-			stackUnits++
+			switch u.kind {
+			case familyUnit:
+				families++
+			case stackUnit:
+				stackUnits++
+			}
 			g := groups[u.gid]
 			if g == nil {
-				g = &stackGroup{first: u, stats: make([]cache.Stats, len(u.idxs))}
+				g = &group{first: u, stats: make([]cache.Stats, len(u.idxs))}
 				groups[u.gid] = g
 			}
 			for j := range u.idxs {
-				g.stats[j].Add(u.stack.Stats(j))
+				g.stats[j].Add(u.k.Stats(j))
 			}
 		}
 	}
+	runs = make([]metrics.Run, len(cfgs))
+	ok = make([]bool, len(cfgs))
 	for gid, g := range groups {
 		if deadG[gid] {
 			continue
 		}
 		for j, k := range g.first.idxs {
-			runs[k] = metrics.NewRun(prof.Name, g.first.stack.Config(j), &g.stats[j])
+			runs[k] = metrics.NewRun(prof.Name, g.first.k.Config(j), &g.stats[j])
 			ok[k] = true
 		}
 	}
@@ -464,30 +444,28 @@ func runConfigsSharded(ctx context.Context, prof synth.Profile, cfgs []cache.Con
 	return runs, ok, dedupGroupFailures(failed), nil
 }
 
-// dedupGroupFailures collapses sibling stack-partition failures, which
-// share one index list, to the first per group, so pointErrors reports
-// each lost point exactly once.
+// dedupGroupFailures collapses the failures of one group's partitions,
+// which share one index list, to the first, so pointErrors reports each
+// lost point exactly once.
 func dedupGroupFailures(failed []unitFailure) []unitFailure {
 	seen := make(map[int]bool)
 	kept := failed[:0]
 	for _, f := range failed {
-		if f.gid > 0 {
-			if seen[f.gid] {
-				continue
-			}
+		if !seen[f.gid] {
 			seen[f.gid] = true
+			kept = append(kept, f)
 		}
-		kept = append(kept, f)
 	}
 	return kept
 }
 
 // processChunk feeds one broadcast chunk to every live unit the shard
-// owns.  The BeforeChunk hook runs in its own recovery boundary; a
-// panic there is shard-scope and kills every unit the shard still has.
-// A panic inside one unit (or its BeforeUnit hook) kills only that
-// unit.
-func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Hooks, fail func(unitFailure, int)) {
+// owns, packed once (trace.PackRefs at the pass's word shift) into a
+// buffer the runner holds only for this chunk.  The BeforeChunk hook
+// runs in its own recovery boundary; a panic there is shard-scope and
+// kills every unit the shard still has.  A panic inside one unit (or
+// its BeforeUnit hook) kills only that unit.
+func (rn *shardRunner) processChunk(refs []trace.Ref, shift uint, workload string, hooks *Hooks, fail func(unitFailure, int)) {
 	if hooks != nil && hooks.BeforeChunk != nil {
 		if herr := safeCall(func() { hooks.BeforeChunk(workload, rn.shard, rn.chunk) }); herr != nil {
 			for _, u := range rn.units {
@@ -502,12 +480,18 @@ func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Ho
 			return
 		}
 	}
-	rn.packs.next()
+	var buf *[]uint64
+	var packed []uint64
+	if rn.pack {
+		buf = packPool.Get().(*[]uint64)
+		packed = (*buf)[:len(refs)]
+		trace.PackRefs(packed, refs, shift)
+	}
 	for _, u := range rn.units {
 		if u.dead {
 			continue
 		}
-		if uerr := u.accessBatch(refs, rn.packs.forUnit(u, refs), hooks, workload, rn.shard, rn.chunk); uerr != nil {
+		if uerr := u.accessBatch(refs, packed, hooks, workload, rn.shard, rn.chunk); uerr != nil {
 			u.dead = true
 			rn.live--
 			fail(unitFailure{idxs: u.idxs, shard: rn.shard, gid: u.gid, cause: uerr}, 1)
@@ -515,18 +499,18 @@ func (rn *shardRunner) processChunk(refs []trace.Ref, workload string, hooks *Ho
 		}
 		rn.simRefs += uint64(len(refs))
 	}
+	if buf != nil {
+		packPool.Put(buf)
+	}
 	rn.chunk++
 }
 
 // simulateSharded evaluates every requested point over one workload via
 // the chunk-broadcast executor, planned by req.Engine, translating unit
-// failures into attributed PointErrors.  A workload aborted by the
+// failures into attributed PointErrors.  cfgs are the points' resolved
+// configurations, aligned with req.Points.  A workload aborted by the
 // caller's cancellation returns (nil, nil): a casualty, not a cause.
-func simulateSharded(ctx context.Context, prof synth.Profile, req Request, shards int) (map[Point]metrics.Run, []*PointError) {
-	cfgs := make([]cache.Config, len(req.Points))
-	for i, p := range req.Points {
-		cfgs[i] = pointConfig(p, req)
-	}
+func simulateSharded(ctx context.Context, prof synth.Profile, req Request, cfgs []cache.Config, shards int) (map[Point]metrics.Run, []*PointError) {
 	runs, ok, failed, err := runConfigsSharded(ctx, prof, cfgs, req.Points, req.Refs,
 		req.Arch.WordSize(), shards, req.Engine, req.ContinueOnError, req.Hooks,
 		telemetry.OrNop(req.Recorder))

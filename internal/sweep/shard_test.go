@@ -18,7 +18,9 @@ import (
 // TestShardedDifferential: the chunk-broadcast executor must reproduce
 // per-(workload, point) RunOne simulation bit for bit -- every run and
 // every summary -- for every engine at every shard count, because
-// sharding partitions configurations, never the trace.  RunOne streams
+// sharding partitions configurations, never the trace.  At 32 shards
+// families split and stack groups fan out into set partitions, so the
+// flush loop's merge of a group's partitions is checked too.  RunOne streams
 // cache.Run straight from the generator and shares no executor code,
 // so the baseline is independent of the path under test.
 func TestShardedDifferential(t *testing.T) {
@@ -49,13 +51,19 @@ func TestShardedDifferential(t *testing.T) {
 		{"reference/shards=2", Reference, 2, len(pts) * workloads},
 		{"reference/shards=3", Reference, 3, len(pts) * workloads},
 		{"reference/shards=ncpu", Reference, runtime.NumCPU(), len(pts) * workloads},
+		{"reference/shards=32", Reference, 32, len(pts) * workloads},
 		{"multipass/auto", MultiPass, 0, workloads},
 		{"multipass/shards=1", MultiPass, 1, workloads},
 		{"multipass/shards=2", MultiPass, 2, workloads},
 		{"multipass/shards=3", MultiPass, 3, workloads},
 		{"multipass/shards=ncpu", MultiPass, runtime.NumCPU(), workloads},
+		{"multipass/shards=32", MultiPass, 32, workloads},
+		{"stackdist/auto", StackDist, 0, workloads},
 		{"stackdist/shards=1", StackDist, 1, workloads},
+		{"stackdist/shards=2", StackDist, 2, workloads},
+		{"stackdist/shards=3", StackDist, 3, workloads},
 		{"stackdist/shards=ncpu", StackDist, runtime.NumCPU(), workloads},
+		{"stackdist/shards=32", StackDist, 32, workloads},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,38 +317,43 @@ func TestShardedParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestShardRingSizedFromRunnableShards: the chunk ring holds buffers
-// for the shards that can run at once, not for the requested count.
-// A Reference sweep of the 129-point seven-net grid at Shards: 1024
-// plans 129 shards; with two CPUs only two run at a time, so the pass
-// needs a handful of 128 KB chunk buffers, not 2*129+2 of them.
+// TestShardRingSizedFromRunnableShards: the buffers a pass holds scale
+// with the shards that can run at once, not with the requested count.
+// A sweep of the 129-point seven-net grid at Shards: 1024 plans up to
+// 129 shards; with two CPUs only two run at a time, so the pass needs a
+// handful of 128 KB chunk buffers and 64 KB pack buffers, not one set
+// per planned shard -- for every engine.
 func TestShardRingSizedFromRunnableShards(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	req := Request{
-		Arch:      synth.PDP11,
-		Points:    Grid([]int{32, 64, 128, 256, 512, 1024, 2048}, 2),
-		Refs:      20000,
-		Workloads: []string{synth.Workloads(synth.PDP11)[0].Name},
-		Engine:    Reference,
-		Shards:    MaxShards,
-	}
-	if len(req.Points) != 129 {
-		t.Fatalf("grid has %d points, want 129", len(req.Points))
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := Run(req)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Summaries) != len(req.Points) {
-		t.Fatalf("%d of %d points done", len(res.Summaries), len(req.Points))
-	}
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("sweep allocated %.1f MB", float64(alloc)/(1<<20))
-	if alloc >= 8<<20 {
-		t.Errorf("sweep allocated %.1f MB, want < 8 MB", float64(alloc)/(1<<20))
+	for _, eng := range allEngines {
+		t.Run(eng.String(), func(t *testing.T) {
+			req := Request{
+				Arch:      synth.PDP11,
+				Points:    Grid([]int{32, 64, 128, 256, 512, 1024, 2048}, 2),
+				Refs:      20000,
+				Workloads: []string{synth.Workloads(synth.PDP11)[0].Name},
+				Engine:    eng,
+				Shards:    MaxShards,
+			}
+			if len(req.Points) != 129 {
+				t.Fatalf("grid has %d points, want 129", len(req.Points))
+			}
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Run(req)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Summaries) != len(req.Points) {
+				t.Fatalf("%d of %d points done", len(res.Summaries), len(req.Points))
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("sweep allocated %.1f MB", float64(alloc)/(1<<20))
+			if alloc >= 8<<20 {
+				t.Errorf("sweep allocated %.1f MB, want < 8 MB", float64(alloc)/(1<<20))
+			}
+		})
 	}
 }

@@ -189,7 +189,9 @@ type Request struct {
 	Workloads []string
 	// Override, if non-nil, adjusts each derived cache.Config before
 	// simulation (used by the ablation benches to change replacement
-	// policy, associativity or warm-start handling).
+	// policy, associativity or warm-start handling).  It must keep
+	// WordSize: every configuration replays the trace split into the
+	// architecture's words.
 	Override func(*cache.Config)
 	// Parallelism bounds concurrent simulations; 0 means GOMAXPROCS.
 	Parallelism int
@@ -324,6 +326,13 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("sweep: unknown engine %v", req.Engine)
 	}
+	cfgs := make([]cache.Config, len(req.Points))
+	for i, p := range req.Points {
+		cfgs[i] = pointConfig(p, req)
+	}
+	if err := checkWordSize(cfgs, req.Arch.WordSize()); err != nil {
+		return nil, err
+	}
 	profiles, err := selectWorkloads(req.Arch, req.Workloads)
 	if err != nil {
 		return nil, err
@@ -376,7 +385,7 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 		passesPerWorkload = len(req.Points)
 	}
 
-	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, ck, shards, par/shards)
+	perProf, perrs, attempted, resumed, err := runWorkloads(ctx, profiles, req, cfgs, ck, shards, par/shards)
 	if err != nil {
 		return nil, err
 	}
@@ -404,9 +413,10 @@ func RunContext(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// runWorkloads runs simulateSharded at the given shard count once per
-// profile, at most outer (clamped to [1, len(profiles)]) at a time,
-// applying the sweep's failure policy and checkpointing:
+// runWorkloads runs simulateSharded over cfgs (the points' resolved
+// configurations) at the given shard count once per profile, at most
+// outer (clamped to [1, len(profiles)]) at a time, applying the sweep's
+// failure policy and checkpointing:
 //
 //   - fail-fast (default): the first workload reporting an error
 //     cancels its siblings, and the first error in profile order is
@@ -426,6 +436,7 @@ func runWorkloads(
 	ctx context.Context,
 	profiles []synth.Profile,
 	req Request,
+	cfgs []cache.Config,
 	ck *ckState,
 	shards, outer int,
 ) (perProf []map[Point]metrics.Run, perrs [][]*PointError, attempted []bool, resumed int, err error) {
@@ -479,7 +490,7 @@ func runWorkloads(
 					Name: "workload", Workload: prof.Name,
 					Parent: telemetry.SpanFromContext(ctx),
 				})
-				runs, pes := simulateSharded(telemetry.ContextWithSpan(ctx, sp.ID()), prof, req, shards)
+				runs, pes := simulateSharded(telemetry.ContextWithSpan(ctx, sp.ID()), prof, req, cfgs, shards)
 				rec.SetGauge(telemetry.ActiveWorkloads, active.Add(-1))
 				perProf[i] = runs
 				if runs != nil && len(pes) == 0 && ctx.Err() == nil {
@@ -554,6 +565,18 @@ func pointConfig(p Point, req Request) cache.Config {
 		req.Override(&cfg)
 	}
 	return cfg
+}
+
+// checkWordSize rejects any configuration whose WordSize is not ws: the
+// configurations of one pass all consume one trace split into ws-byte
+// words, so a wider or narrower cache would be fed the wrong accesses.
+func checkWordSize(cfgs []cache.Config, ws int) error {
+	for i, c := range cfgs {
+		if c.WordSize != ws {
+			return fmt.Errorf("sweep: configuration %d (%v) has WordSize %d, want %d (configurations must share one word-split trace)", i, c, c.WordSize, ws)
+		}
+	}
+	return nil
 }
 
 // selectWorkloads resolves the request's workload list.

@@ -1,11 +1,14 @@
 package sweep
 
 import (
+	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
 	"subcache/internal/cache"
 	"subcache/internal/synth"
+	"subcache/internal/telemetry"
 )
 
 func TestGridRespectsTable1(t *testing.T) {
@@ -248,6 +251,33 @@ func TestRunOverrideInvalidConfig(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("sweep accepted an override that invalidates the config")
+	}
+}
+
+// TestRunOverrideWordSize: an Override that changes WordSize would feed
+// the architecture's word-split trace to caches of another word width,
+// so every engine rejects it up front -- a plain error, not a retryable
+// PointError, and before the run-start event.
+func TestRunOverrideWordSize(t *testing.T) {
+	for _, eng := range allEngines {
+		var buf bytes.Buffer
+		sink := telemetry.NewJSONLSink(&buf)
+		_, err := Run(Request{
+			Arch: synth.PDP11, Points: Grid([]int{64, 256}, 4),
+			Refs: 1000, Workloads: []string{"ED"}, Engine: eng,
+			Override: func(c *cache.Config) { c.WordSize = 4 },
+			Recorder: telemetry.NewRun(telemetry.Options{Sink: sink}),
+		})
+		var pe *PointError
+		if err == nil || !strings.Contains(err.Error(), "WordSize") || errors.As(err, &pe) {
+			t.Errorf("%v: err = %v, want a plain WordSize error", eng, err)
+		}
+		if err := sink.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%v: rejected sweep emitted events:\n%s", eng, buf.String())
+		}
 	}
 }
 
